@@ -2,58 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 #include <string>
 
-#include "sim/simulator.h"
-#include "trace/power_sampler.h"
-#include "trace/profiler.h"
+#include "trace/run_harness.h"
 
 namespace opdvfs::calib {
 
 namespace {
-
-std::multimap<std::size_t, double>
-buildTriggerMap(const std::vector<trace::SetFreqTrigger> &triggers,
-                std::size_t op_count)
-{
-    std::multimap<std::size_t, double> map;
-    for (const auto &t : triggers) {
-        if (t.after_op_index >= op_count)
-            throw std::invalid_argument(
-                "runDriftLoop: trigger index out of range");
-        map.emplace(t.after_op_index, t.mhz);
-    }
-    return map;
-}
-
-/** Queue one iteration (same trigger wiring as the guarded runner). */
-void
-enqueueIteration(npu::NpuChip &chip, const models::Workload &workload,
-                 const std::multimap<std::size_t, double> &triggers,
-                 bool guard_set_freqs, const dvfs::GuardOptions &guard,
-                 dvfs::GuardStats &stats)
-{
-    for (std::size_t i = 0; i < workload.iteration.size(); ++i) {
-        const ops::Op &op = workload.iteration[i];
-        chip.enqueueOp(op.hw, op.id);
-
-        auto range = triggers.equal_range(i);
-        for (auto it = range.first; it != range.second; ++it) {
-            auto event = std::make_shared<sim::SyncEvent>();
-            chip.computeStream().enqueueRecord(event);
-            chip.setFreqStream().enqueueWait(event);
-            if (guard_set_freqs) {
-                dvfs::enqueueGuardedSetFreq(chip, it->second,
-                                            guard.set_freq_retries,
-                                            guard.retry_backoff, stats);
-            } else {
-                chip.enqueueSetFreq(it->second);
-            }
-        }
-    }
-}
 
 double
 medianOf(std::vector<double> values)
@@ -93,31 +49,30 @@ runDriftLoop(const npu::NpuConfig &chip_config,
              std::vector<trace::SetFreqTrigger> triggers,
              double baseline_seconds, const DriftLoopOptions &options)
 {
-    if (workload.iteration.empty())
-        throw std::invalid_argument("runDriftLoop: empty workload");
     if (options.iterations <= 0)
         throw std::invalid_argument("runDriftLoop: no iterations");
     if (options.hold_iterations < 1)
         throw std::invalid_argument(
             "runDriftLoop: hold_iterations must be >= 1");
 
-    std::multimap<std::size_t, double> trigger_map =
-        buildTriggerMap(triggers, workload.iteration.size());
-
-    sim::Simulator simulator;
-    npu::NpuConfig config = chip_config;
-    config.initial_mhz = options.run.initial_mhz;
-    npu::NpuChip chip(simulator, config);
-
-    trace::Profiler profiler(chip, options.run.profiler_noise,
-                             options.run.seed * 7919 + 1);
-    profiler.registerSequence(workload.iteration);
-    trace::PowerSampler sampler(chip, options.run.sample_period,
-                                options.run.sampler_noise,
-                                options.run.seed * 104729 + 2);
+    std::vector<trace::SetFreqTrigger> ordered =
+        trace::orderTriggers(std::move(triggers), workload.iteration.size());
+    trace::RunHarness harness(chip_config, workload, options.run);
+    sim::Simulator &simulator = harness.simulator();
+    npu::NpuChip &chip = harness.chip();
+    trace::Profiler &profiler = harness.profiler();
+    trace::PowerSampler &sampler = harness.sampler();
 
     dvfs::DvfsGuard guard(options.guard, baseline_seconds);
     dvfs::GuardStats &stats = guard.mutableStats();
+    trace::SetFreqEnqueue guarded_set_freq;
+    if (options.guard.enabled) {
+        guarded_set_freq = [&](double mhz) {
+            dvfs::enqueueGuardedSetFreq(chip, mhz,
+                                        options.guard.set_freq_retries,
+                                        options.guard.retry_backoff, stats);
+        };
+    }
 
     ResidualTracker tracker(options.tracker);
     Recalibrator recalibrator(options.recalibrator);
@@ -128,11 +83,7 @@ runDriftLoop(const npu::NpuConfig &chip_config,
 
     // Warm-up repetitions (unmeasured, plain SetFreqs) bring the die
     // to thermal steady state before residuals are scored.
-    while (ticksToSeconds(simulator.now()) < options.run.warmup_seconds) {
-        enqueueIteration(chip, workload, trigger_map,
-                         /*guard_set_freqs=*/false, options.guard, stats);
-        simulator.run();
-    }
+    harness.warmUp(ordered);
 
     DriftLoopResult result;
     double max_mhz = chip.freqTable().maxMhz();
@@ -149,7 +100,7 @@ runDriftLoop(const npu::NpuConfig &chip_config,
             ++stats.throttle_resets;
         }
 
-        profiler.clear();
+        profiler.openWindow();
         std::size_t samples_before = sampler.samples().size();
         chip.syncAccounting();
         npu::EnergyCounters energy_before = chip.energy();
@@ -169,8 +120,7 @@ runDriftLoop(const npu::NpuConfig &chip_config,
                     chip.enqueueSetFreq(strategy_mhz);
                 }
             }
-            enqueueIteration(chip, workload, trigger_map,
-                             options.guard.enabled, options.guard, stats);
+            harness.enqueueIteration(ordered, guarded_set_freq);
         } else {
             // Fallback / safe hold: pin the maximum frequency and run
             // with the strategy disabled.
@@ -178,9 +128,7 @@ runDriftLoop(const npu::NpuConfig &chip_config,
                                         options.guard.set_freq_retries,
                                         options.guard.retry_backoff,
                                         stats);
-            enqueueIteration(chip, workload, {},
-                             /*guard_set_freqs=*/false, options.guard,
-                             stats);
+            harness.enqueueIteration({});
         }
         simulator.run();
         chip.syncAccounting();
@@ -342,8 +290,8 @@ runDriftLoop(const npu::NpuConfig &chip_config,
                     if (options.regenerate) {
                         RegeneratedStrategy regenerated =
                             options.regenerate(applied);
-                        trigger_map = buildTriggerMap(
-                            regenerated.triggers,
+                        ordered = trace::orderTriggers(
+                            std::move(regenerated.triggers),
                             workload.iteration.size());
                         if (regenerated.baseline_seconds)
                             current_baseline =

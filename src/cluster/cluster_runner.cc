@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "sim/simulator.h"
+#include "trace/run_harness.h"
 
 namespace opdvfs::cluster {
 
@@ -28,31 +29,58 @@ ClusterRunResult::socAvgWatts() const
 
 namespace {
 
+/** One rank's chip and its iteration, compiled for that chip. */
+struct Device
+{
+    std::unique_ptr<npu::NpuChip> chip;
+    std::vector<npu::CompiledOp> ops;
+};
+
+/** Build one chip per rank on @p simulator, each with its iteration. */
+std::vector<Device>
+buildDevices(sim::Simulator &simulator, const ClusterConfig &config,
+             const models::Workload &workload, double initial_mhz,
+             const std::vector<npu::FaultPlan> &device_faults)
+{
+    std::vector<Device> devices;
+    devices.reserve(static_cast<std::size_t>(config.devices));
+    for (int d = 0; d < config.devices; ++d) {
+        npu::NpuConfig chip_config = config.chip;
+        chip_config.initial_mhz = initial_mhz;
+        if (!device_faults.empty())
+            chip_config.faults = device_faults[static_cast<std::size_t>(d)];
+        Device device;
+        device.chip = std::make_unique<npu::NpuChip>(simulator, chip_config);
+        device.ops = trace::compileIteration(*device.chip, workload);
+        devices.push_back(std::move(device));
+    }
+    return devices;
+}
+
 /**
  * Queue one device's iteration, routing collectives to the group.
  * With @p guard_stats set, SetFreqs go through the guarded
  * verify-and-retry path.
  */
 void
-enqueueDeviceIteration(npu::NpuChip &chip, int rank,
-                       const models::Workload &workload,
-                       CollectiveGroup &group,
+enqueueDeviceIteration(Device &device, int rank, CollectiveGroup &group,
                        const std::vector<trace::SetFreqTrigger> &triggers,
                        const dvfs::GuardOptions *guard = nullptr,
                        dvfs::GuardStats *guard_stats = nullptr)
 {
-    for (std::size_t i = 0; i < workload.iteration.size(); ++i) {
-        const ops::Op &op = workload.iteration[i];
+    npu::NpuChip &chip = *device.chip;
+    for (std::size_t i = 0; i < device.ops.size(); ++i) {
+        const npu::CompiledOp &op = device.ops[i];
 
-        if (op.hw.category == npu::OpCategory::Communication
-            && op.hw.comm_bytes > 0.0) {
-            double bytes = op.hw.comm_bytes;
+        if (op.params().category == npu::OpCategory::Communication
+            && op.params().comm_bytes > 0.0) {
+            double bytes = op.params().comm_bytes;
             chip.computeStream().enqueue(
                 [&group, rank, bytes](std::function<void()> done) {
                     group.arrive(rank, bytes, std::move(done));
                 });
         } else {
-            chip.enqueueOp(op.hw, op.id);
+            chip.enqueueOp(op);
         }
 
         for (const auto &trigger : triggers) {
@@ -115,17 +143,9 @@ ClusterRunner::run(const models::Workload &workload,
                           config_.link_bandwidth,
                           config_.collective_latency_s);
 
-    std::vector<std::unique_ptr<npu::NpuChip>> chips;
-    chips.reserve(static_cast<std::size_t>(config_.devices));
-    for (int d = 0; d < config_.devices; ++d) {
-        npu::NpuConfig chip_config = config_.chip;
-        chip_config.initial_mhz = options.initial_mhz;
-        if (!options.device_faults.empty())
-            chip_config.faults =
-                options.device_faults[static_cast<std::size_t>(d)];
-        chips.push_back(
-            std::make_unique<npu::NpuChip>(simulator, chip_config));
-    }
+    std::vector<Device> devices =
+        buildDevices(simulator, config_, workload, options.initial_mhz,
+                     options.device_faults);
 
     static const std::vector<trace::SetFreqTrigger> kNoTriggers;
     auto triggers_for = [&](int rank) -> const auto & {
@@ -137,25 +157,25 @@ ClusterRunner::run(const models::Workload &workload,
     // Warm-up iterations (thermal + frequency steady state).
     for (int warm = 0; warm < options.warmup_iterations; ++warm) {
         for (int d = 0; d < config_.devices; ++d) {
-            enqueueDeviceIteration(*chips[static_cast<std::size_t>(d)], d,
-                                   workload, group, triggers_for(d));
+            enqueueDeviceIteration(devices[static_cast<std::size_t>(d)], d,
+                                   group, triggers_for(d));
         }
         simulator.run();
     }
 
     // Measured iteration.
     std::vector<std::uint64_t> set_freq_before;
-    for (auto &chip : chips) {
-        chip->resetEnergy();
-        set_freq_before.push_back(chip->dvfs().setFreqCount());
+    for (Device &device : devices) {
+        device.chip->resetEnergy();
+        set_freq_before.push_back(device.chip->dvfs().setFreqCount());
     }
     std::uint64_t collectives_before = group.completedCollectives();
     double wait_before = group.totalWaitSeconds();
     Tick start = simulator.now();
 
     for (int d = 0; d < config_.devices; ++d) {
-        enqueueDeviceIteration(*chips[static_cast<std::size_t>(d)], d,
-                               workload, group, triggers_for(d));
+        enqueueDeviceIteration(devices[static_cast<std::size_t>(d)], d,
+                               group, triggers_for(d));
     }
     simulator.run();
 
@@ -164,15 +184,16 @@ ClusterRunner::run(const models::Workload &workload,
     result.collectives = group.completedCollectives() - collectives_before;
     result.collective_wait_seconds =
         group.totalWaitSeconds() - wait_before;
-    for (std::size_t d = 0; d < chips.size(); ++d) {
-        chips[d]->syncAccounting();
+    for (std::size_t d = 0; d < devices.size(); ++d) {
+        npu::NpuChip &chip = *devices[d].chip;
+        chip.syncAccounting();
         DeviceResult device;
-        device.aicore_energy_j = chips[d]->energy().aicore_joules;
-        device.soc_energy_j = chips[d]->energy().soc_joules;
-        device.aicore_avg_w = chips[d]->energy().aicoreAvgWatts();
-        device.soc_avg_w = chips[d]->energy().socAvgWatts();
+        device.aicore_energy_j = chip.energy().aicore_joules;
+        device.soc_energy_j = chip.energy().soc_joules;
+        device.aicore_avg_w = chip.energy().aicoreAvgWatts();
+        device.soc_avg_w = chip.energy().socAvgWatts();
         device.set_freq_count =
-            chips[d]->dvfs().setFreqCount() - set_freq_before[d];
+            chip.dvfs().setFreqCount() - set_freq_before[d];
         result.devices.push_back(device);
     }
     return result;
@@ -228,17 +249,9 @@ ClusterRunner::runGuarded(const models::Workload &workload,
                           config_.link_bandwidth,
                           config_.collective_latency_s);
 
-    std::vector<std::unique_ptr<npu::NpuChip>> chips;
-    chips.reserve(static_cast<std::size_t>(config_.devices));
-    for (int d = 0; d < config_.devices; ++d) {
-        npu::NpuConfig chip_config = config_.chip;
-        chip_config.initial_mhz = options.run.initial_mhz;
-        if (!options.run.device_faults.empty())
-            chip_config.faults =
-                options.run.device_faults[static_cast<std::size_t>(d)];
-        chips.push_back(
-            std::make_unique<npu::NpuChip>(simulator, chip_config));
-    }
+    std::vector<Device> devices =
+        buildDevices(simulator, config_, workload, options.run.initial_mhz,
+                     options.run.device_faults);
 
     static const std::vector<trace::SetFreqTrigger> kNoTriggers;
     auto triggers_for = [&](int rank) -> const auto & {
@@ -253,8 +266,8 @@ ClusterRunner::runGuarded(const models::Workload &workload,
     // Warm-up (unguarded, unmeasured).
     for (int warm = 0; warm < options.run.warmup_iterations; ++warm) {
         for (int d = 0; d < config_.devices; ++d) {
-            enqueueDeviceIteration(*chips[static_cast<std::size_t>(d)], d,
-                                   workload, group, triggers_for(d));
+            enqueueDeviceIteration(devices[static_cast<std::size_t>(d)], d,
+                                   group, triggers_for(d));
         }
         simulator.run();
     }
@@ -267,9 +280,9 @@ ClusterRunner::runGuarded(const models::Workload &workload,
         bool strategy_active = guard.strategyEnabled();
         if (guard.wantsThrottleReset()) {
             // Fleet-wide repair: reset every throttled rank's governor.
-            for (auto &chip : chips) {
-                if (chip->dvfs().throttled()) {
-                    chip->resetThrottleGovernor();
+            for (Device &device : devices) {
+                if (device.chip->dvfs().throttled()) {
+                    device.chip->resetThrottleGovernor();
                     ++stats.throttle_resets;
                 }
             }
@@ -277,19 +290,17 @@ ClusterRunner::runGuarded(const models::Workload &workload,
 
         Tick start = simulator.now();
         for (int d = 0; d < config_.devices; ++d) {
-            npu::NpuChip &chip = *chips[static_cast<std::size_t>(d)];
+            Device &device = devices[static_cast<std::size_t>(d)];
             if (strategy_active) {
                 enqueueDeviceIteration(
-                    chip, d, workload, group, triggers_for(d),
-                    &options.guard,
+                    device, d, group, triggers_for(d), &options.guard,
                     options.guard.enabled ? &stats : nullptr);
             } else {
-                dvfs::enqueueGuardedSetFreq(chip, max_mhz,
+                dvfs::enqueueGuardedSetFreq(*device.chip, max_mhz,
                                             options.guard.set_freq_retries,
                                             options.guard.retry_backoff,
                                             stats);
-                enqueueDeviceIteration(chip, d, workload, group,
-                                       kNoTriggers);
+                enqueueDeviceIteration(device, d, group, kNoTriggers);
             }
         }
         simulator.run();
@@ -301,7 +312,7 @@ ClusterRunner::runGuarded(const models::Workload &workload,
         bool any_throttled = false;
         double peak_temperature = 0.0;
         for (int d = 0; d < config_.devices; ++d) {
-            npu::NpuChip &chip = *chips[static_cast<std::size_t>(d)];
+            npu::NpuChip &chip = *devices[static_cast<std::size_t>(d)].chip;
             chip.syncAccounting();
             peak_temperature =
                 std::max(peak_temperature, chip.temperature());
@@ -326,10 +337,10 @@ ClusterRunner::runGuarded(const models::Workload &workload,
     }
 
     result.guard = guard.stats();
-    for (const auto &chip : chips) {
-        result.device_faults.push_back(
-            chip->faultInjector() ? chip->faultInjector()->counters()
-                                  : npu::FaultCounters{});
+    for (const Device &device : devices) {
+        const npu::FaultInjector *injector = device.chip->faultInjector();
+        result.device_faults.push_back(injector ? injector->counters()
+                                                : npu::FaultCounters{});
     }
     return result;
 }

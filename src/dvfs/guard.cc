@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <memory>
 #include <stdexcept>
 
-#include "sim/simulator.h"
-#include "trace/power_sampler.h"
-#include "trace/profiler.h"
+#include "trace/run_harness.h"
 
 namespace opdvfs::dvfs {
 
@@ -255,36 +251,6 @@ GuardedRunResult::worstLoss() const
 
 namespace {
 
-/**
- * Queue one iteration; SetFreq triggers go through the guarded
- * (verify-and-retry) path when @p guard_set_freqs is set.
- */
-void
-enqueueIteration(npu::NpuChip &chip, const models::Workload &workload,
-                 const std::multimap<std::size_t, double> &triggers,
-                 bool guard_set_freqs, const GuardOptions &guard,
-                 GuardStats &stats)
-{
-    for (std::size_t i = 0; i < workload.iteration.size(); ++i) {
-        const ops::Op &op = workload.iteration[i];
-        chip.enqueueOp(op.hw, op.id);
-
-        auto range = triggers.equal_range(i);
-        for (auto it = range.first; it != range.second; ++it) {
-            auto event = std::make_shared<sim::SyncEvent>();
-            chip.computeStream().enqueueRecord(event);
-            chip.setFreqStream().enqueueWait(event);
-            if (guard_set_freqs) {
-                enqueueGuardedSetFreq(chip, it->second,
-                                      guard.set_freq_retries,
-                                      guard.retry_backoff, stats);
-            } else {
-                chip.enqueueSetFreq(it->second);
-            }
-        }
-    }
-}
-
 double
 medianOf(std::vector<double> values)
 {
@@ -301,40 +267,29 @@ runGuarded(const npu::NpuConfig &chip_config,
            const std::vector<trace::SetFreqTrigger> &triggers,
            double baseline_seconds, const GuardedRunOptions &options)
 {
-    if (workload.iteration.empty())
-        throw std::invalid_argument("runGuarded: empty workload");
     if (options.iterations <= 0)
         throw std::invalid_argument("runGuarded: no iterations");
 
-    std::multimap<std::size_t, double> trigger_map;
-    for (const auto &t : triggers) {
-        if (t.after_op_index >= workload.iteration.size())
-            throw std::invalid_argument(
-                "runGuarded: trigger index out of range");
-        trigger_map.emplace(t.after_op_index, t.mhz);
-    }
-
-    sim::Simulator simulator;
-    npu::NpuConfig config = chip_config;
-    config.initial_mhz = options.run.initial_mhz;
-    npu::NpuChip chip(simulator, config);
-
-    trace::Profiler profiler(chip, options.run.profiler_noise,
-                             options.run.seed * 7919 + 1);
-    profiler.registerSequence(workload.iteration);
-    trace::PowerSampler sampler(chip, options.run.sample_period,
-                                options.run.sampler_noise,
-                                options.run.seed * 104729 + 2);
+    std::vector<trace::SetFreqTrigger> ordered =
+        trace::orderTriggers(triggers, workload.iteration.size());
+    trace::RunHarness harness(chip_config, workload, options.run);
+    sim::Simulator &simulator = harness.simulator();
+    npu::NpuChip &chip = harness.chip();
+    trace::Profiler &profiler = harness.profiler();
+    trace::PowerSampler &sampler = harness.sampler();
 
     DvfsGuard guard(options.guard, baseline_seconds);
     GuardStats &stats = guard.mutableStats();
+    trace::SetFreqEnqueue guarded_set_freq;
+    if (options.guard.enabled) {
+        guarded_set_freq = [&](double mhz) {
+            enqueueGuardedSetFreq(chip, mhz, options.guard.set_freq_retries,
+                                  options.guard.retry_backoff, stats);
+        };
+    }
 
     // Warm-up repetitions (unmeasured, plain SetFreqs).
-    while (ticksToSeconds(simulator.now()) < options.run.warmup_seconds) {
-        enqueueIteration(chip, workload, trigger_map,
-                         /*guard_set_freqs=*/false, options.guard, stats);
-        simulator.run();
-    }
+    harness.warmUp(ordered);
 
     GuardedRunResult result;
     result.baseline_seconds = baseline_seconds;
@@ -347,15 +302,14 @@ runGuarded(const npu::NpuConfig &chip_config,
             ++stats.throttle_resets;
         }
 
-        profiler.clear();
+        profiler.openWindow();
         std::size_t samples_before = sampler.samples().size();
         std::uint64_t set_freqs_before = chip.dvfs().setFreqCount();
         std::uint64_t throttles_before = chip.dvfs().throttleEvents();
         sampler.start(/*stop_when_idle=*/true);
 
         if (strategy_active) {
-            enqueueIteration(chip, workload, trigger_map,
-                             options.guard.enabled, options.guard, stats);
+            harness.enqueueIteration(ordered, guarded_set_freq);
         } else {
             // Fallback: pin the maximum frequency (re-asserted every
             // fallback iteration so a dropped pin cannot persist),
@@ -363,9 +317,7 @@ runGuarded(const npu::NpuConfig &chip_config,
             enqueueGuardedSetFreq(chip, max_mhz,
                                   options.guard.set_freq_retries,
                                   options.guard.retry_backoff, stats);
-            enqueueIteration(chip, workload, {},
-                             /*guard_set_freqs=*/false, options.guard,
-                             stats);
+            harness.enqueueIteration({});
         }
         simulator.run();
         chip.syncAccounting();

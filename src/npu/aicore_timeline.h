@@ -70,6 +70,9 @@ class AicoreTimeline
     /** Cycles of one St transfer at @p f_mhz, incl. T0 (Eq. 4). */
     double stCycles(double f_mhz) const;
 
+    /** The operator parameters this timeline evaluates. */
+    const HwOpParams &params() const { return params_; }
+
   private:
     double cyclesScenario(double f_hz) const;
     math::ConvexPwl cyclePwlScenario() const;

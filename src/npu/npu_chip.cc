@@ -20,32 +20,6 @@ EnergyCounters::socAvgWatts() const
     return s > 0.0 ? soc_joules / s : 0.0;
 }
 
-/** Mutable execution state of one in-flight operator. */
-struct NpuChip::OpExecution
-{
-    HwOpParams params;
-    AicoreTimeline timeline;
-    std::uint64_t op_id = 0;
-    Tick start_tick = 0;
-    /** Fraction of the operator's work still outstanding, in [0, 1]. */
-    double work_remaining = 1.0;
-    Tick plan_start = 0;
-    Tick plan_duration = 0;
-    /** Bumped on re-plan; stale completion events check it. */
-    std::uint64_t epoch = 0;
-    /** Duration at the top frequency; anchors uncore-activity scaling. */
-    double reference_seconds = 0.0;
-    std::function<void()> done;
-
-    OpExecution(const HwOpParams &p, const MemorySystem &memory,
-                std::uint64_t id, double reference_mhz)
-        : params(p),
-          timeline(p, memory),
-          op_id(id),
-          reference_seconds(timeline.seconds(reference_mhz))
-    {}
-};
-
 namespace {
 
 /** Apply the chip-level uncore operating point to the memory config. */
@@ -84,73 +58,99 @@ NpuChip::NpuChip(sim::Simulator &simulator, const NpuConfig &config)
     });
 }
 
+CompiledOp
+NpuChip::compile(const HwOpParams &params, std::uint64_t op_id) const
+{
+    AicoreTimeline timeline(params, memory_);
+    double reference_seconds = timeline.seconds(freq_table_.maxMhz());
+    return {op_id, timeline, reference_seconds};
+}
+
+void
+NpuChip::enqueueOp(const CompiledOp &op)
+{
+    const CompiledOp *queued = &op;
+    compute_stream_.enqueue([this, queued](std::function<void()> done) {
+        startOp(*queued, std::move(done));
+    });
+}
+
 void
 NpuChip::enqueueOp(const HwOpParams &params, std::uint64_t op_id)
 {
-    compute_stream_.enqueue(
-        [this, params, op_id](std::function<void()> done) {
-            accrueEnergy();
-            auto exec = std::make_shared<OpExecution>(
-                params, memory_, op_id, freq_table_.maxMhz());
-            exec->start_tick = simulator_.now();
-            exec->done = std::move(done);
-            in_flight_ = exec;
-            if (observer_)
-                observer_->opStarted(op_id, exec->start_tick);
-            planInFlight();
-        });
+    one_off_ops_.push_back(compile(params, op_id));
+    enqueueOp(one_off_ops_.back());
+}
+
+void
+NpuChip::startOp(const CompiledOp &op, std::function<void()> done)
+{
+    accrueEnergy();
+    in_flight_.op = &op;
+    in_flight_.start_tick = simulator_.now();
+    in_flight_.work_remaining = 1.0;
+    in_flight_.done = std::move(done);
+    in_flight_.epoch = ++last_epoch_;
+    planInFlight();
 }
 
 void
 NpuChip::planInFlight()
 {
-    auto exec = in_flight_;
-    double seconds =
-        exec->work_remaining * exec->timeline.seconds(dvfs_.currentMhz());
+    double seconds = in_flight_.work_remaining
+        * in_flight_.op->timeline.seconds(dvfs_.currentMhz());
     // Silicon aging slows every operator by the same factor; the level
     // at plan time is a good approximation because the drift ramp is
     // orders of magnitude slower than one operator.
     if (fault_injector_)
         seconds *= fault_injector_->latencyScale(simulator_.now());
     Tick duration = secondsToTicks(std::max(seconds, 0.0));
-    exec->plan_start = simulator_.now();
-    exec->plan_duration = duration;
-    std::uint64_t epoch = exec->epoch;
+    in_flight_.plan_start = simulator_.now();
+    in_flight_.plan_duration = duration;
+    std::uint64_t epoch = in_flight_.epoch;
+    simulator_.scheduleIn(duration,
+                          [this, epoch] { retireInFlight(epoch); });
+}
 
-    simulator_.scheduleIn(duration, [this, exec, epoch] {
-        if (exec->epoch != epoch)
-            return; // Re-planned after a frequency change.
-        accrueEnergy();
-        if (exec->epoch != epoch) {
-            // The accrual tripped (or released) the firmware throttle,
-            // and the resulting frequency change re-planned this very
-            // operator; the re-planned completion event owns it now.
-            return;
-        }
-        energy_at_last_retire_ = energy_;
-        in_flight_.reset();
-        if (observer_) {
-            observer_->opFinished(exec->op_id, exec->start_tick,
-                                  simulator_.now(), dvfs_.currentMhz());
-        }
-        exec->done();
-    });
+void
+NpuChip::retireInFlight(std::uint64_t epoch)
+{
+    if (!in_flight_.op || in_flight_.epoch != epoch)
+        return; // Re-planned after a frequency change.
+    accrueEnergy();
+    if (in_flight_.epoch != epoch) {
+        // The accrual tripped (or released) the firmware throttle, and
+        // the resulting frequency change re-planned this very
+        // operator; the re-planned completion event owns it now.
+        return;
+    }
+    energy_at_last_retire_ = energy_;
+    const CompiledOp &op = *in_flight_.op;
+    Tick start = in_flight_.start_tick;
+    std::function<void()> done = std::move(in_flight_.done);
+    in_flight_.op = nullptr;
+    if (observer_)
+        observer_->opFinished(op, start, simulator_.now(),
+                              dvfs_.currentMhz());
+    if (!one_off_ops_.empty() && &op == &one_off_ops_.front())
+        one_off_ops_.pop_front();
+    done();
 }
 
 void
 NpuChip::replanInFlight(double /* new_mhz */)
 {
-    if (!in_flight_)
+    if (!in_flight_.op)
         return;
-    auto exec = in_flight_;
-    if (exec->plan_duration > 0) {
+    if (in_flight_.plan_duration > 0) {
         double elapsed = static_cast<double>(simulator_.now()
-                                             - exec->plan_start);
+                                             - in_flight_.plan_start);
         double frac = std::clamp(
-            elapsed / static_cast<double>(exec->plan_duration), 0.0, 1.0);
-        exec->work_remaining *= 1.0 - frac;
+            elapsed / static_cast<double>(in_flight_.plan_duration), 0.0,
+            1.0);
+        in_flight_.work_remaining *= 1.0 - frac;
     }
-    ++exec->epoch;
+    in_flight_.epoch = ++last_epoch_;
     planInFlight();
 }
 
@@ -214,20 +214,20 @@ NpuChip::powerState() const
         state.aging_scale =
             fault_injector_->agingDynamicScale(simulator_.now());
     }
-    if (in_flight_) {
-        state.alpha_core = in_flight_->params.alpha_core;
-        state.uncore_activity = in_flight_->params.uncore_activity;
+    if (const CompiledOp *op = in_flight_.op) {
+        const HwOpParams &params = op->params();
+        state.alpha_core = params.alpha_core;
+        state.uncore_activity = params.uncore_activity;
         // Uncore activity tracks the achieved transfer rate: when the
         // core slows, the operator moves the same bytes over a longer
         // window, so instantaneous uncore utilisation drops
         // proportionally.
-        if (in_flight_->params.category == OpCategory::Compute
-            && in_flight_->reference_seconds > 0.0) {
-            double now_seconds =
-                in_flight_->timeline.seconds(state.f_mhz);
+        if (params.category == OpCategory::Compute
+            && op->reference_seconds > 0.0) {
+            double now_seconds = op->timeline.seconds(state.f_mhz);
             if (now_seconds > 0.0) {
                 state.uncore_activity *=
-                    in_flight_->reference_seconds / now_seconds;
+                    op->reference_seconds / now_seconds;
                 state.uncore_activity =
                     std::min(state.uncore_activity, 1.0);
             }

@@ -12,12 +12,18 @@
  * A mid-operator frequency change re-plans the in-flight operator: the
  * completed work fraction is preserved and the remainder re-timed at
  * the new frequency.
+ *
+ * Operators execute from CompiledOp descriptors built once per run, and
+ * the op lifecycle (stream task, completion callback, retire event)
+ * uses closures small enough for std::function's local buffer, so a
+ * simulated operator costs no heap allocation.
  */
 
 #ifndef OPDVFS_NPU_NPU_CHIP_H
 #define OPDVFS_NPU_NPU_CHIP_H
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 
@@ -62,6 +68,24 @@ struct NpuConfig
     FaultPlan faults;
 };
 
+/**
+ * An operator compiled for one chip configuration: its ground-truth
+ * parameters plus the per-op constants execution needs (the timeline's
+ * Ld/St coefficients and the duration at the top frequency).  Built by
+ * NpuChip::compile() once per run, then executed any number of times;
+ * it must outlive every execution it is queued for.
+ */
+struct CompiledOp
+{
+    /** Opaque tag handed back to the op observer. */
+    std::uint64_t id = 0;
+    AicoreTimeline timeline;
+    /** Duration at the top frequency; anchors uncore-activity scaling. */
+    double reference_seconds = 0.0;
+
+    const HwOpParams &params() const { return timeline.params(); }
+};
+
 /** Cumulative energy counters. */
 struct EnergyCounters
 {
@@ -78,25 +102,37 @@ struct EnergyCounters
 class NpuChip
 {
   public:
-    /** Observer for operator lifetime; used by the profiler. */
+    /** Observer for operator completion; used by the profiler. */
     struct OpObserver
     {
         virtual ~OpObserver() = default;
-        /** Fired when an operator starts executing. */
-        virtual void opStarted(std::uint64_t op_id, Tick start) = 0;
         /**
-         * Fired on completion.  @p f_mhz_at_end is the core frequency
-         * when the operator retired.
+         * Fired when @p op retires.  @p f_mhz_at_end is the core
+         * frequency at that moment.
          */
-        virtual void opFinished(std::uint64_t op_id, Tick start, Tick end,
+        virtual void opFinished(const CompiledOp &op, Tick start, Tick end,
                                 double f_mhz_at_end) = 0;
     };
 
     NpuChip(sim::Simulator &simulator, const NpuConfig &config = {});
 
     /**
-     * Queue an operator for execution on the compute stream.
-     * @p op_id is an opaque tag handed back to the observer.
+     * Compile @p params for this chip; @p op_id is the tag the observer
+     * sees.  Validates the parameters.
+     * @throws std::invalid_argument for malformed parameters.
+     */
+    CompiledOp compile(const HwOpParams &params, std::uint64_t op_id) const;
+
+    /**
+     * Queue @p op for execution on the compute stream.  @p op must
+     * have been compiled for this chip's configuration and must stay
+     * alive until it retires.
+     */
+    void enqueueOp(const CompiledOp &op);
+
+    /**
+     * Convenience for one-off operators: compile @p params into
+     * chip-owned storage (released when the op retires) and queue it.
      */
     void enqueueOp(const HwOpParams &params, std::uint64_t op_id);
 
@@ -177,7 +213,29 @@ class NpuChip
     bool idle() const;
 
   private:
-    struct OpExecution;
+    /** Execution state of the op occupying the compute stream. */
+    struct InFlight
+    {
+        /** Null while the compute stream has no op in flight. */
+        const CompiledOp *op = nullptr;
+        Tick start_tick = 0;
+        /** Fraction of the operator's work still outstanding, [0, 1]. */
+        double work_remaining = 1.0;
+        Tick plan_start = 0;
+        Tick plan_duration = 0;
+        /**
+         * Chip-wide unique id of the current plan; a completion event
+         * scheduled for any other plan is stale and ignored.
+         */
+        std::uint64_t epoch = 0;
+        std::function<void()> done;
+    };
+
+    /** Start @p op now (the compute-stream task body). */
+    void startOp(const CompiledOp &op, std::function<void()> done);
+
+    /** Retire the in-flight op if plan @p epoch is still current. */
+    void retireInFlight(std::uint64_t epoch);
 
     /** Current power-relevant state. */
     PowerState powerState() const;
@@ -214,8 +272,11 @@ class NpuChip
     /** Re-entrancy guard for throttle-induced frequency changes. */
     bool throttle_updating_ = false;
 
-    /** Execution state of the op occupying the compute stream. */
-    std::shared_ptr<OpExecution> in_flight_;
+    InFlight in_flight_;
+    /** Last plan id handed out (see InFlight::epoch). */
+    std::uint64_t last_epoch_ = 0;
+    /** Ops queued through the HwOpParams overload, in queue order. */
+    std::deque<CompiledOp> one_off_ops_;
 
     Tick last_accrual_ = 0;
     EnergyCounters energy_;

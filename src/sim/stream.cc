@@ -34,7 +34,21 @@ Stream::Stream(Simulator &simulator, std::string name)
 void
 Stream::enqueue(Task task)
 {
-    queue_.push_back({Item::Kind::Task, std::move(task), nullptr});
+    push({Item::Kind::Task, std::move(task), nullptr});
+}
+
+void
+Stream::push(Item item)
+{
+    // Reclaim the consumed prefix once it is at least as long as the
+    // live items: a drained stream restarts at the front of its
+    // storage, and one that never drains stays bounded.
+    if (head_ > 0 && head_ >= queue_.size() - head_) {
+        queue_.erase(queue_.begin(),
+                     queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
+    queue_.push_back(std::move(item));
     pump();
 }
 
@@ -53,8 +67,7 @@ Stream::enqueueRecord(std::shared_ptr<SyncEvent> event)
 {
     if (!event)
         throw std::invalid_argument("Stream: null event");
-    queue_.push_back({Item::Kind::Record, nullptr, std::move(event)});
-    pump();
+    push({Item::Kind::Record, nullptr, std::move(event)});
 }
 
 void
@@ -62,8 +75,7 @@ Stream::enqueueWait(std::shared_ptr<SyncEvent> event)
 {
     if (!event)
         throw std::invalid_argument("Stream: null event");
-    queue_.push_back({Item::Kind::Wait, nullptr, std::move(event)});
-    pump();
+    push({Item::Kind::Wait, nullptr, std::move(event)});
 }
 
 void
@@ -73,9 +85,8 @@ Stream::pump()
         return;
     pumping_ = true;
 
-    while (!busy_ && !waiting_ && !queue_.empty()) {
-        Item item = std::move(queue_.front());
-        queue_.pop_front();
+    while (!busy_ && !waiting_ && !queueEmpty()) {
+        Item item = std::move(queue_[head_++]);
 
         switch (item.kind) {
           case Item::Kind::Record:
@@ -94,18 +105,8 @@ Stream::pump()
 
           case Item::Kind::Task: {
             busy_ = true;
-            auto called = std::make_shared<bool>(false);
-            auto done = [this, called] {
-                if (*called)
-                    throw std::logic_error(
-                        "Stream: task completion invoked twice");
-                *called = true;
-                busy_ = false;
-                if (queue_.empty() && !waiting_)
-                    last_idle_tick_ = simulator_.now();
-                pump();
-            };
-            item.task(std::move(done));
+            std::uint64_t token = ++task_token_;
+            item.task([this, token] { complete(token); });
             break;
           }
         }
@@ -114,8 +115,21 @@ Stream::pump()
     pumping_ = false;
     // A task may have completed synchronously while we held the guard;
     // if so there may be runnable items left.
-    if (!busy_ && !waiting_ && !queue_.empty())
+    if (!busy_ && !waiting_ && !queueEmpty())
         pump();
+}
+
+void
+Stream::complete(std::uint64_t token)
+{
+    if (!busy_ || token != task_token_)
+        throw std::logic_error(
+            "Stream: task completion invoked twice or after the next "
+            "task started");
+    busy_ = false;
+    if (queueEmpty() && !waiting_)
+        last_idle_tick_ = simulator_.now();
+    pump();
 }
 
 } // namespace opdvfs::sim

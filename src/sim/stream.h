@@ -10,7 +10,7 @@
 #ifndef OPDVFS_SIM_STREAM_H
 #define OPDVFS_SIM_STREAM_H
 
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -53,6 +53,11 @@ class SyncEvent
  * the next queued item when the callback fires.  Besides tasks, the
  * queue can hold event records (instantaneous) and event waits (block
  * the stream until another stream records the event).
+ *
+ * The stream itself allocates nothing per task in steady state: the
+ * completion callback carries the stream and a per-task token (16
+ * bytes, inside std::function's local buffer), and the queue reuses
+ * its storage.
  */
 class Stream
 {
@@ -78,7 +83,7 @@ class Stream
     void enqueueWait(std::shared_ptr<SyncEvent> event);
 
     /** True when nothing queued and no task in flight. */
-    bool idle() const { return !busy_ && queue_.empty(); }
+    bool idle() const { return !busy_ && queueEmpty(); }
 
     /** Tick when the stream last became idle. */
     Tick lastIdleTick() const { return last_idle_tick_; }
@@ -96,12 +101,28 @@ class Stream
         std::shared_ptr<SyncEvent> event;
     };
 
+    /** Append @p item and start whatever became runnable. */
+    void push(Item item);
+
     /** Start queued items until blocked, busy, or drained. */
     void pump();
 
+    /**
+     * Completion of the task started with @p token.
+     * @throws std::logic_error unless that task is the one in flight
+     *         (a repeated or stale completion).
+     */
+    void complete(std::uint64_t token);
+
+    bool queueEmpty() const { return head_ == queue_.size(); }
+
     Simulator &simulator_;
     std::string name_;
-    std::deque<Item> queue_;
+    /** Queued items are queue_[head_..]; the consumed prefix is reused. */
+    std::vector<Item> queue_;
+    std::size_t head_ = 0;
+    /** Token of the task in flight; each started task gets a new one. */
+    std::uint64_t task_token_ = 0;
     bool busy_ = false;
     bool waiting_ = false;
     Tick last_idle_tick_ = 0;

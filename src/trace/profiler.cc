@@ -1,15 +1,12 @@
 #include "trace/profiler.h"
 
 #include <algorithm>
-#include <stdexcept>
-
-#include "npu/aicore_timeline.h"
 
 namespace opdvfs::trace {
 
 Profiler::Profiler(npu::NpuChip &chip, ProfilerNoise noise,
                    std::uint64_t seed)
-    : chip_(chip), noise_(noise), rng_(seed)
+    : noise_(noise), rng_(seed)
 {
     chip.setObserver(this);
 }
@@ -22,47 +19,50 @@ Profiler::registerSequence(const ops::OpSequence &sequence)
 }
 
 void
-Profiler::opStarted(std::uint64_t, Tick)
+Profiler::openWindow()
 {
+    records_.clear();
+    window_open_ = true;
 }
 
 void
-Profiler::opFinished(std::uint64_t op_id, Tick start, Tick end,
+Profiler::opFinished(const npu::CompiledOp &op, Tick start, Tick end,
                      double f_mhz_at_end)
 {
-    auto it = metadata_.find(op_id);
+    auto it = metadata_.find(op.id);
     if (it == metadata_.end())
         return; // Unregistered helper op (e.g. a cool-down idle tail).
-    const ops::Op &op = *it->second;
 
-    OpRecord record;
-    record.op_id = op_id;
-    record.type = op.type;
-    record.category = op.hw.category;
-    record.start = start;
-    record.end = end;
-    record.f_mhz = f_mhz_at_end;
-    record.duration_s = ticksToSeconds(end - start)
-        * rng_.noiseFactor(noise_.duration_sigma);
-
-    if (op.hw.category == npu::OpCategory::Compute) {
-        npu::AicoreTimeline timeline(op.hw, chip_.memorySystem());
-        npu::PipelineRatios truth = timeline.ratios(f_mhz_at_end);
+    double duration_noise = rng_.noiseFactor(noise_.duration_sigma);
+    npu::PipelineRatios ratios;
+    if (op.params().category == npu::OpCategory::Compute) {
+        npu::PipelineRatios truth = op.timeline.ratios(f_mhz_at_end);
         auto jitter = [this](double r) {
             if (r <= 0.0)
                 return 0.0;
             return std::clamp(r + rng_.gaussian(0.0, noise_.ratio_sigma),
                               0.0, 1.0);
         };
-        record.ratios.cube = jitter(truth.cube);
-        record.ratios.vector = jitter(truth.vector);
-        record.ratios.scalar = jitter(truth.scalar);
-        record.ratios.mte1 = jitter(truth.mte1);
-        record.ratios.mte2 = jitter(truth.mte2);
-        record.ratios.mte3 = jitter(truth.mte3);
+        ratios.cube = jitter(truth.cube);
+        ratios.vector = jitter(truth.vector);
+        ratios.scalar = jitter(truth.scalar);
+        ratios.mte1 = jitter(truth.mte1);
+        ratios.mte2 = jitter(truth.mte2);
+        ratios.mte3 = jitter(truth.mte3);
     }
+    if (!window_open_)
+        return;
 
-    records_.push_back(std::move(record));
+    const ops::Op &meta = *it->second;
+    OpRecord &record = records_.emplace_back();
+    record.op_id = op.id;
+    record.type = meta.type;
+    record.category = meta.hw.category;
+    record.start = start;
+    record.end = end;
+    record.f_mhz = f_mhz_at_end;
+    record.duration_s = ticksToSeconds(end - start) * duration_noise;
+    record.ratios = ratios;
 }
 
 } // namespace opdvfs::trace

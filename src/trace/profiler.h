@@ -6,6 +6,12 @@
  *
  * Records carry realistic measurement noise; downstream model fitting
  * and classification never see the simulator's ground truth directly.
+ *
+ * Records are kept only inside a measurement window the caller opens
+ * (after warm-up, per measured iteration).  The noise stream does not
+ * depend on the window: every registered op that finishes draws its
+ * noise, recorded or not, so a window sees exactly the records it would
+ * have seen had the profiler recorded from the start.
  */
 
 #ifndef OPDVFS_TRACE_PROFILER_H
@@ -48,7 +54,7 @@ struct ProfilerNoise
     double ratio_sigma = 0.015;
 };
 
-/** Observes a chip and accumulates operator records. */
+/** Observes a chip and records operators inside measurement windows. */
 class Profiler : public npu::NpuChip::OpObserver
 {
   public:
@@ -57,21 +63,30 @@ class Profiler : public npu::NpuChip::OpObserver
     /** Register the metadata of the ops about to run. */
     void registerSequence(const ops::OpSequence &sequence);
 
-    void opStarted(std::uint64_t op_id, Tick start) override;
-    void opFinished(std::uint64_t op_id, Tick start, Tick end,
+    /**
+     * Open a measurement window: drop earlier records and keep one per
+     * registered op that finishes from now on.  Before the first window
+     * nothing is kept.
+     */
+    void openWindow();
+
+    /**
+     * Draw the op's measurement noise (the duration factor, then one
+     * deviate per nonzero true pipeline ratio, in PipelineRatios field
+     * order) and, inside a window, keep its record.  Unregistered ops
+     * (e.g. a cool-down idle tail) draw nothing.
+     */
+    void opFinished(const npu::CompiledOp &op, Tick start, Tick end,
                     double f_mhz_at_end) override;
 
-    /** All records so far, in completion order. */
+    /** Records of the current window, in completion order. */
     const std::vector<OpRecord> &records() const { return records_; }
 
-    /** Drop accumulated records (e.g. after warm-up). */
-    void clear() { records_.clear(); }
-
   private:
-    npu::NpuChip &chip_;
     ProfilerNoise noise_;
     Rng rng_;
     std::unordered_map<std::uint64_t, const ops::Op *> metadata_;
+    bool window_open_ = false;
     std::vector<OpRecord> records_;
 };
 

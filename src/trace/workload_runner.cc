@@ -1,77 +1,33 @@
 #include "trace/workload_runner.h"
 
 #include <algorithm>
-#include <map>
-#include <memory>
-#include <stdexcept>
 
 #include "common/statistics.h"
-#include "ops/op_factory.h"
-#include "sim/simulator.h"
+#include "trace/run_harness.h"
 
 namespace opdvfs::trace {
-
-namespace {
-
-/** Queue one iteration, attaching SetFreq triggers per Fig. 14. */
-void
-enqueueIteration(npu::NpuChip &chip, const models::Workload &workload,
-                 const std::multimap<std::size_t, double> &triggers)
-{
-    for (std::size_t i = 0; i < workload.iteration.size(); ++i) {
-        const ops::Op &op = workload.iteration[i];
-        chip.enqueueOp(op.hw, op.id);
-
-        auto range = triggers.equal_range(i);
-        for (auto it = range.first; it != range.second; ++it) {
-            auto event = std::make_shared<sim::SyncEvent>();
-            chip.computeStream().enqueueRecord(event);
-            chip.setFreqStream().enqueueWait(event);
-            chip.enqueueSetFreq(it->second);
-        }
-    }
-}
-
-} // namespace
 
 RunResult
 WorkloadRunner::run(const models::Workload &workload,
                     const RunOptions &options,
                     const std::vector<SetFreqTrigger> &triggers) const
 {
-    if (workload.iteration.empty())
-        throw std::invalid_argument("WorkloadRunner: empty workload");
+    std::vector<SetFreqTrigger> ordered =
+        orderTriggers(triggers, workload.iteration.size());
+    RunHarness harness(config_, workload, options);
+    sim::Simulator &simulator = harness.simulator();
+    npu::NpuChip &chip = harness.chip();
+    Profiler &profiler = harness.profiler();
+    PowerSampler &sampler = harness.sampler();
 
-    std::multimap<std::size_t, double> trigger_map;
-    for (const auto &t : triggers) {
-        if (t.after_op_index >= workload.iteration.size())
-            throw std::invalid_argument(
-                "WorkloadRunner: trigger index out of range");
-        trigger_map.emplace(t.after_op_index, t.mhz);
-    }
-
-    sim::Simulator simulator;
-    npu::NpuConfig chip_config = config_;
-    chip_config.initial_mhz = options.initial_mhz;
-    npu::NpuChip chip(simulator, chip_config);
-
-    Profiler profiler(chip, options.profiler_noise, options.seed * 7919 + 1);
-    profiler.registerSequence(workload.iteration);
-    PowerSampler sampler(chip, options.sample_period, options.sampler_noise,
-                         options.seed * 104729 + 2);
-
-    // Warm-up repetitions until thermal steady state.
-    while (ticksToSeconds(simulator.now()) < options.warmup_seconds) {
-        enqueueIteration(chip, workload, trigger_map);
-        simulator.run();
-    }
+    harness.warmUp(ordered);
 
     // Measured iteration.
-    profiler.clear();
+    profiler.openWindow();
     chip.resetEnergy();
     std::uint64_t set_freq_before = chip.dvfs().setFreqCount();
     sampler.start(/*stop_when_idle=*/true);
-    enqueueIteration(chip, workload, trigger_map);
+    harness.enqueueIteration(ordered);
     simulator.run();
     chip.syncAccounting();
 

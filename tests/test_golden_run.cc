@@ -1,0 +1,434 @@
+/**
+ * Golden fingerprints of the simulator's measured outputs.
+ *
+ * Every case hashes each field of a measurement result bit for bit
+ * (per-operator records and telemetry samples included) and compares
+ * the hash with a pinned constant.  Host-side work on the simulator
+ * (sim/npu/trace) must leave every constant unchanged; a deliberate
+ * modelling change re-pins them, and the failure output prints the
+ * observed values in the table's format for that purpose.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "calib/drift_loop.h"
+#include "cluster/cluster_runner.h"
+#include "dvfs/guard.h"
+#include "dvfs/pipeline.h"
+#include "models/model_zoo.h"
+#include "npu/freq_table.h"
+#include "power/offline_calibration.h"
+#include "trace/workload_runner.h"
+
+namespace opdvfs {
+namespace {
+
+/** FNV-1a over the exact bytes of every hashed value. */
+class Hasher
+{
+  public:
+    void bytes(const void *data, std::size_t size)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < size; ++i) {
+            state_ ^= p[i];
+            state_ *= 0x100000001b3ULL;
+        }
+    }
+    void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+    void i64(std::int64_t v) { bytes(&v, sizeof v); }
+    void f64(double v)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        u64(bits);
+    }
+    void str(const std::string &s)
+    {
+        u64(s.size());
+        bytes(s.data(), s.size());
+    }
+    std::uint64_t value() const { return state_; }
+
+  private:
+    std::uint64_t state_ = 0xcbf29ce484222325ULL;
+};
+
+void
+hashRatios(Hasher &h, const npu::PipelineRatios &r)
+{
+    for (double v : {r.cube, r.vector, r.scalar, r.mte1, r.mte2, r.mte3})
+        h.f64(v);
+}
+
+std::uint64_t
+hashRun(const trace::RunResult &run)
+{
+    Hasher h;
+    h.f64(run.iteration_seconds);
+    h.f64(run.aicore_energy_j);
+    h.f64(run.soc_energy_j);
+    h.f64(run.aicore_avg_w);
+    h.f64(run.soc_avg_w);
+    h.f64(run.avg_temperature_c);
+    h.u64(run.set_freq_count);
+    h.u64(run.records.size());
+    for (const trace::OpRecord &r : run.records) {
+        h.u64(r.op_id);
+        h.str(r.type);
+        h.i64(static_cast<std::int64_t>(r.category));
+        h.i64(r.start);
+        h.i64(r.end);
+        h.f64(r.duration_s);
+        h.f64(r.f_mhz);
+        hashRatios(h, r.ratios);
+    }
+    h.u64(run.samples.size());
+    for (const trace::PowerSample &s : run.samples) {
+        h.i64(s.tick);
+        h.f64(s.soc_watts);
+        h.f64(s.aicore_watts);
+        h.f64(s.temperature_c);
+        h.f64(s.f_mhz);
+    }
+    return h.value();
+}
+
+void
+hashFaults(Hasher &h, const npu::FaultCounters &c)
+{
+    h.u64(c.set_freqs_seen);
+    h.u64(c.set_freqs_dropped);
+    h.i64(c.jitter_injected);
+    h.u64(c.throttle_trips);
+    h.u64(c.spurious_trips);
+    h.u64(c.throttle_releases);
+    h.u64(c.forced_releases);
+    h.u64(c.samples_seen);
+    h.u64(c.samples_blacked_out);
+    h.u64(c.samples_spiked);
+}
+
+std::uint64_t
+hashGuarded(const dvfs::GuardedRunResult &run)
+{
+    Hasher h;
+    h.u64(run.iterations.size());
+    for (const dvfs::GuardedIteration &it : run.iterations) {
+        h.f64(it.seconds);
+        h.f64(it.loss);
+        h.f64(it.temperature_c);
+        h.u64(it.telemetry_ok);
+        h.u64(it.throttled);
+        h.u64(it.strategy_active);
+        h.i64(static_cast<std::int64_t>(it.state_after));
+        h.u64(it.set_freq_count);
+    }
+    h.f64(run.baseline_seconds);
+    const dvfs::GuardStats &g = run.guard;
+    for (std::uint64_t v :
+         {g.perf_violations, g.thermal_violations, g.fallbacks, g.reenables,
+          g.throttle_resets, g.set_freq_retries, g.set_freq_abandoned,
+          g.telemetry_gaps, g.safe_holds, g.rebases})
+        h.u64(v);
+    hashFaults(h, run.faults);
+    return h.value();
+}
+
+void
+hashTriggers(Hasher &h, const std::vector<trace::SetFreqTrigger> &triggers)
+{
+    h.u64(triggers.size());
+    for (const trace::SetFreqTrigger &t : triggers) {
+        h.u64(t.after_op_index);
+        h.f64(t.mhz);
+    }
+}
+
+std::uint64_t
+hashPipeline(const dvfs::PipelineResult &result)
+{
+    Hasher h;
+    h.u64(hashRun(result.baseline));
+    h.u64(hashRun(result.dvfs));
+    const dvfs::GaResult &ga = result.ga;
+    h.bytes(ga.best_genome.data(), ga.best_genome.size());
+    for (double mhz : ga.best_mhz)
+        h.f64(mhz);
+    h.f64(ga.best_score);
+    for (double score : ga.score_history)
+        h.f64(score);
+    h.i64(ga.converged_at);
+    hashTriggers(h, result.plan.triggers);
+    h.f64(result.plan.initial_mhz);
+    return h.value();
+}
+
+std::uint64_t
+hashDriftLoop(const calib::DriftLoopResult &run)
+{
+    Hasher h;
+    h.u64(run.iterations.size());
+    for (const calib::DriftIteration &it : run.iterations) {
+        for (double v :
+             {it.seconds, it.loss, it.aicore_joules, it.soc_joules,
+              it.mean_abs_time_residual, it.mean_abs_power_residual,
+              it.mean_time_residual, it.mean_power_residual,
+              it.mean_thermal_residual})
+            h.f64(v);
+        h.u64(it.strategy_active);
+        h.i64(static_cast<std::int64_t>(it.guard_state));
+        h.i64(static_cast<std::int64_t>(it.watchdog_state));
+        h.u64(it.verdict.perf);
+        h.u64(it.verdict.power);
+        h.u64(it.verdict.thermal);
+        h.u64(it.recalibrated);
+    }
+    const calib::WatchdogStats &w = run.watchdog;
+    for (std::uint64_t v :
+         {w.suspects, w.confirmations, w.recalibrations, w.dismissals})
+        h.u64(v);
+    h.u64(run.guard.fallbacks);
+    h.u64(run.guard.safe_holds);
+    h.u64(run.guard.rebases);
+    hashFaults(h, run.faults);
+    h.f64(run.patch.time_scale_global);
+    h.f64(run.patch.power_dynamic_scale);
+    h.f64(run.patch.power_static_bias_w);
+    h.u64(run.patch.epoch);
+    h.f64(run.final_baseline_seconds);
+    return h.value();
+}
+
+std::uint64_t
+hashCluster(const cluster::ClusterRunResult &run)
+{
+    Hasher h;
+    h.f64(run.iteration_seconds);
+    h.u64(run.collectives);
+    h.f64(run.collective_wait_seconds);
+    h.u64(run.devices.size());
+    for (const cluster::DeviceResult &d : run.devices) {
+        h.f64(d.aicore_avg_w);
+        h.f64(d.soc_avg_w);
+        h.f64(d.aicore_energy_j);
+        h.f64(d.soc_energy_j);
+        h.u64(d.set_freq_count);
+    }
+    return h.value();
+}
+
+/** A cyclic three-step strategy: mid-iteration drops, wrap restore. */
+std::vector<trace::SetFreqTrigger>
+stepTriggers(std::size_t op_count, double initial_mhz)
+{
+    return {{op_count / 3, 1400.0},
+            {(2 * op_count) / 3, 1000.0},
+            {op_count - 1, initial_mhz}};
+}
+
+/** Every fault class at once, dense enough to fire within seconds. */
+npu::FaultPlan
+everyFault()
+{
+    npu::FaultPlan plan;
+    plan.seed = 23;
+    plan.set_freq_drop_rate = 0.3;
+    plan.set_freq_jitter_max = 300 * kTicksPerUs;
+    plan.thermal_throttle = true;
+    // Just above the die temperature a 2 s warm-up reaches, so the
+    // throttle trips and releases on its own as well as spuriously.
+    plan.throttle_trip_celsius = 31.6;
+    plan.throttle_release_celsius = 31.2;
+    plan.spurious_trip_rate_hz = 2.0;
+    plan.blackout_rate_hz = 4.0;
+    plan.blackout_duration = 20 * kTicksPerMs;
+    plan.spike_rate = 0.1;
+    plan.aging_dynamic_drift = 0.08;
+    plan.sensor_bias_watts = 3.0;
+    plan.latency_drift = 0.05;
+    plan.ambient_drift_celsius = 1.0;
+    plan.drift_start = kTicksPerSecond / 2;
+    plan.drift_ramp = kTicksPerSecond;
+    return plan;
+}
+
+struct GoldenCase
+{
+    const char *name;
+    std::uint64_t expected;
+};
+
+/** Observed hash of every case, computed once. */
+struct Observed
+{
+    std::vector<std::pair<std::string, std::uint64_t>> values;
+
+    Observed()
+    {
+        npu::NpuConfig chip;
+        npu::MemorySystem memory(chip.memory);
+        trace::WorkloadRunner runner(chip);
+
+        for (const char *model : {"AlexNet", "ResNet50", "BERT"}) {
+            models::Workload workload =
+                models::buildWorkload(model, memory, 5);
+            for (double mhz : {1000.0, 1800.0}) {
+                for (bool stepped : {false, true}) {
+                    trace::RunOptions options;
+                    options.initial_mhz = mhz;
+                    options.warmup_seconds = 2.0;
+                    options.sample_period = 2 * kTicksPerMs;
+                    options.seed = 11;
+                    std::vector<trace::SetFreqTrigger> triggers;
+                    if (stepped) {
+                        triggers = stepTriggers(workload.opCount(), mhz);
+                        options.cooldown_seconds = 0.3;
+                    }
+                    std::string name = std::string(model) + "@"
+                        + std::to_string(static_cast<int>(mhz))
+                        + (stepped ? "+steps+cooldown" : "");
+                    values.emplace_back(
+                        name,
+                        hashRun(runner.run(workload, options, triggers)));
+                }
+            }
+        }
+
+        models::Workload alexnet = models::buildWorkload("AlexNet", memory, 5);
+        std::vector<trace::SetFreqTrigger> steps =
+            stepTriggers(alexnet.opCount(), 1800.0);
+
+        npu::NpuConfig faulty = chip;
+        faulty.faults = everyFault();
+        trace::RunOptions fault_options;
+        fault_options.warmup_seconds = 2.0;
+        fault_options.sample_period = kTicksPerMs;
+        fault_options.cooldown_seconds = 0.2;
+        fault_options.seed = 13;
+        values.emplace_back("AlexNet+faults",
+                            hashRun(trace::WorkloadRunner(faulty).run(
+                                alexnet, fault_options, steps)));
+
+        dvfs::GuardedRunOptions guarded;
+        guarded.iterations = 16;
+        guarded.run.warmup_seconds = 2.0;
+        guarded.run.sample_period = kTicksPerMs;
+        guarded.run.seed = 17;
+        // A baseline the faulted iterations overrun now and then, so
+        // the guard falls back and re-enables.
+        values.emplace_back(
+            "AlexNet+guarded",
+            hashGuarded(dvfs::runGuarded(faulty, alexnet, steps,
+                                         /*baseline_seconds=*/0.0080,
+                                         guarded)));
+
+        // The whole Fig. 1 pipeline, then its strategy under the drift
+        // loop with a latency step that forces a recalibration.
+        models::Workload resnet = models::buildWorkload("ResNet50", memory, 5);
+        dvfs::PipelineOptions pipeline;
+        pipeline.chip = chip;
+        pipeline.constants = power::calibrateOffline(chip);
+        pipeline.warmup_seconds = 2.0;
+        pipeline.profile_freqs_mhz = {1000.0, 1400.0, 1800.0};
+        pipeline.ga.population = 30;
+        pipeline.ga.generations = 24;
+        dvfs::PipelineResult optimized =
+            dvfs::EnergyPipeline(pipeline).optimize(resnet);
+        values.emplace_back("ResNet50+pipeline", hashPipeline(optimized));
+
+        double iteration = optimized.baseline.iteration_seconds;
+        npu::NpuConfig drifting = chip;
+        drifting.faults.latency_drift = 0.1;
+        drifting.faults.drift_start = secondsToTicks(2.0 + 5.0 * iteration);
+        calib::DriftLoopOptions loop;
+        loop.iterations = 14;
+        loop.run.initial_mhz = optimized.plan.initial_mhz;
+        loop.run.warmup_seconds = 2.0;
+        loop.run.sample_period = kTicksPerMs / 2;
+        loop.run.seed = 19;
+        loop.recalibrator.min_thermal_samples = 4;
+        values.emplace_back(
+            "ResNet50+driftloop",
+            hashDriftLoop(calib::runDriftLoop(
+                drifting, resnet, optimized.perf_models,
+                power::PowerModel(optimized.constants,
+                                  npu::FreqTable(chip.freq)),
+                optimized.op_power, optimized.plan.triggers, iteration,
+                loop)));
+
+        cluster::ClusterConfig cluster_config;
+        cluster_config.devices = 2;
+        cluster_config.chip = chip;
+        models::Workload bert = models::buildWorkload("BERT", memory, 5);
+        cluster::ClusterRunOptions cluster_options;
+        cluster_options.warmup_iterations = 2;
+        values.emplace_back(
+            "BERT+cluster",
+            hashCluster(cluster::ClusterRunner(cluster_config)
+                            .run(bert,
+                                 {stepTriggers(bert.opCount(), 1800.0),
+                                  {}},
+                                 cluster_options)));
+    }
+};
+
+const Observed &
+observed()
+{
+    static const Observed value;
+    return value;
+}
+
+// Pinned from the reference build; see the file comment.
+const GoldenCase kGolden[] = {
+    {"AlexNet@1000", 0x15c65c954f9278cbULL},
+    {"AlexNet@1000+steps+cooldown", 0xb832b8defba1b565ULL},
+    {"AlexNet@1800", 0x682413251754552fULL},
+    {"AlexNet@1800+steps+cooldown", 0x4a41ceefdb5ac665ULL},
+    {"ResNet50@1000", 0xc6b287c357621565ULL},
+    {"ResNet50@1000+steps+cooldown", 0x49c8370bfbb216adULL},
+    {"ResNet50@1800", 0xc0e5cd6d0750a8a6ULL},
+    {"ResNet50@1800+steps+cooldown", 0x57b43151af45c723ULL},
+    {"BERT@1000", 0x3fb3a1147b57a82dULL},
+    {"BERT@1000+steps+cooldown", 0xb2bcd77f047de429ULL},
+    {"BERT@1800", 0x89530197b5ea0e15ULL},
+    {"BERT@1800+steps+cooldown", 0xacdb6885ccdff888ULL},
+    {"AlexNet+faults", 0xfcec94359f025360ULL},
+    {"AlexNet+guarded", 0xb0a1217c957a5f80ULL},
+    {"ResNet50+pipeline", 0x418509ed6c2d61f3ULL},
+    {"ResNet50+driftloop", 0x0092dbfa74116337ULL},
+    {"BERT+cluster", 0xc3f8b62aba5f0acaULL},
+};
+
+TEST(GoldenRun, EveryFingerprintMatchesThePinnedValue)
+{
+    const auto &values = observed().values;
+    std::string table;
+    for (const auto &[name, hash] : values) {
+        char line[128];
+        std::snprintf(line, sizeof line, "    {\"%s\", 0x%016llxULL},\n",
+                      name.c_str(), static_cast<unsigned long long>(hash));
+        table += line;
+    }
+
+    ASSERT_EQ(std::size(kGolden), values.size())
+        << "observed fingerprints:\n" << table;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        EXPECT_EQ(values[i].first, kGolden[i].name);
+        EXPECT_EQ(values[i].second, kGolden[i].expected)
+            << values[i].first << " observed 0x" << std::hex
+            << values[i].second;
+    }
+    if (HasFailure())
+        std::printf("observed fingerprints:\n%s", table.c_str());
+}
+
+} // namespace
+} // namespace opdvfs

@@ -37,12 +37,11 @@ struct RecordingObserver : NpuChip::OpObserver
     };
     std::vector<Entry> finished;
 
-    void opStarted(std::uint64_t, Tick) override {}
     void
-    opFinished(std::uint64_t op_id, Tick start, Tick end,
+    opFinished(const CompiledOp &op, Tick start, Tick end,
                double f_mhz) override
     {
-        finished.push_back({op_id, start, end, f_mhz});
+        finished.push_back({op.id, start, end, f_mhz});
     }
 };
 

@@ -830,5 +830,28 @@ TEST(StrategyService, DrainWaitsOutScheduledRefinements)
     EXPECT_LE(stats.refine_upgrades + stats.refine_discards, 1u);
 }
 
+TEST(StrategyService, ZeroTimeWorkloadGetsAnErrorAndFreesTheWorker)
+{
+    // One Idle op of zero duration (the wire decoder accepts it from
+    // any client): every profiling warm-up iteration would leave the
+    // simulated clock where it was.
+    StrategyService service(fastOptions(1));
+    StrategyRequest stalled;
+    stalled.workload.name = "stalled";
+    ops::Op idle;
+    idle.type = "Idle";
+    idle.hw.category = npu::OpCategory::Idle;
+    idle.hw.fixed_seconds = 0.0;
+    stalled.workload.iteration.push_back(idle);
+    EXPECT_THROW(service.submit(stalled).get(), std::invalid_argument);
+
+    // The only worker is free again: a real request is answered.
+    StrategyRequest request;
+    request.workload = testWorkload(256);
+    StrategyResponse response = service.submit(request).get();
+    EXPECT_EQ(response.provenance, Provenance::Cold);
+    EXPECT_FALSE(response.strategy.mhz_per_stage.empty());
+}
+
 } // namespace
 } // namespace opdvfs::serve

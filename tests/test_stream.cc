@@ -48,6 +48,33 @@ TEST(Stream, TasksRunInFifoOrder)
     EXPECT_TRUE(stream.idle());
 }
 
+TEST(Stream, TasksQueuedWhileRunningKeepFifoOrder)
+{
+    // The second task queues two more while the third still waits, so
+    // the stream reuses its consumed storage with live items in it.
+    Simulator sim;
+    Stream stream(sim, "s");
+    std::vector<int> order;
+    auto task = [&](int i) {
+        return [&sim, &order, i](std::function<void()> done) {
+            order.push_back(i);
+            sim.scheduleIn(10, std::move(done));
+        };
+    };
+    stream.enqueue(task(0));
+    stream.enqueue([&](std::function<void()> done) {
+        order.push_back(1);
+        stream.enqueue(task(3));
+        stream.enqueue(task(4));
+        sim.scheduleIn(10, std::move(done));
+    });
+    stream.enqueue(task(2));
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(stream.idle());
+    EXPECT_EQ(sim.now(), 50);
+}
+
 TEST(Stream, DelaysAreSequential)
 {
     Simulator sim;
@@ -123,6 +150,26 @@ TEST(Stream, DoubleCompletionThrows)
     });
     captured();
     EXPECT_THROW(captured(), std::logic_error);
+}
+
+TEST(Stream, StaleCompletionAfterNextTaskStartedThrows)
+{
+    Simulator sim;
+    Stream stream(sim, "s");
+    std::function<void()> first, second;
+    stream.enqueue([&](std::function<void()> done) {
+        first = std::move(done);
+    });
+    stream.enqueue([&](std::function<void()> done) {
+        second = std::move(done);
+    });
+    first(); // starts the second task
+    ASSERT_TRUE(second);
+    EXPECT_THROW(first(), std::logic_error);
+    // The stale call neither finished nor disturbed the running task.
+    EXPECT_FALSE(stream.idle());
+    second();
+    EXPECT_TRUE(stream.idle());
 }
 
 TEST(Stream, NullEventThrows)

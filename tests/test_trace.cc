@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "models/transformer.h"
+#include "trace/run_harness.h"
 #include "trace/trace_export.h"
 #include "trace/workload_runner.h"
 
@@ -151,6 +154,86 @@ TEST_F(TraceTest, EmptyWorkloadThrows)
     WorkloadRunner runner(config_);
     models::Workload empty;
     EXPECT_THROW(runner.run(empty, RunOptions{}), std::invalid_argument);
+}
+
+TEST_F(TraceTest, ZeroTimeIterationIsRejectedInsteadOfWarmingUpForever)
+{
+    // One Idle op with no duration: each warm-up iteration would leave
+    // the clock where it was.
+    models::Workload stalled;
+    stalled.name = "stalled";
+    ops::Op idle;
+    idle.type = "Idle";
+    idle.hw.category = npu::OpCategory::Idle;
+    idle.hw.fixed_seconds = 0.0;
+    stalled.iteration.push_back(idle);
+
+    WorkloadRunner runner(config_);
+    RunOptions options;
+    options.warmup_seconds = 0.001;
+    EXPECT_THROW(runner.run(stalled, options), std::invalid_argument);
+    // Without a warm-up the single measured iteration is harmless.
+    EXPECT_EQ(runner.run(stalled, RunOptions{}).records.size(), 1u);
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+TEST_F(TraceTest, LateWindowSeesTheRecordsOfAnAlwaysOpenOne)
+{
+    // Same seed on two identical chips: profiler A records from the
+    // first iteration, profiler B opens its window at the last one.
+    // Ops outside a window draw the same noise as recorded ones, so B
+    // keeps exactly A's last-iteration records, bit for bit.
+    RunOptions options;
+    options.seed = 9;
+    std::size_t n = workload_.opCount();
+    std::vector<SetFreqTrigger> triggers =
+        orderTriggers({{n / 2, 1200.0}, {n - 1, 1800.0}}, n);
+    RunHarness a(config_, workload_, options);
+    RunHarness b(config_, workload_, options);
+
+    constexpr std::size_t kIterations = 4;
+    a.profiler().openWindow();
+    for (std::size_t i = 0; i < kIterations; ++i) {
+        if (i + 1 == kIterations)
+            b.profiler().openWindow();
+        for (RunHarness *h : {&a, &b}) {
+            h->enqueueIteration(triggers);
+            h->simulator().run();
+        }
+    }
+
+    const std::vector<OpRecord> &all = a.profiler().records();
+    const std::vector<OpRecord> &last = b.profiler().records();
+    ASSERT_EQ(all.size(), kIterations * n);
+    ASSERT_EQ(last.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const OpRecord &x = all[all.size() - n + i];
+        const OpRecord &y = last[i];
+        EXPECT_EQ(x.op_id, y.op_id);
+        EXPECT_EQ(x.type, y.type);
+        EXPECT_EQ(x.category, y.category);
+        EXPECT_EQ(x.start, y.start);
+        EXPECT_EQ(x.end, y.end);
+        EXPECT_EQ(bits(x.duration_s), bits(y.duration_s));
+        EXPECT_EQ(bits(x.f_mhz), bits(y.f_mhz));
+        const npu::PipelineRatios &p = x.ratios;
+        const npu::PipelineRatios &q = y.ratios;
+        EXPECT_EQ(bits(p.cube), bits(q.cube));
+        EXPECT_EQ(bits(p.vector), bits(q.vector));
+        EXPECT_EQ(bits(p.scalar), bits(q.scalar));
+        EXPECT_EQ(bits(p.mte1), bits(q.mte1));
+        EXPECT_EQ(bits(p.mte2), bits(q.mte2));
+        EXPECT_EQ(bits(p.mte3), bits(q.mte3));
+    }
+    // The triggers put ops of the compared iteration at both
+    // frequencies, so ratio noise was drawn at each.
+    EXPECT_DOUBLE_EQ(last.front().f_mhz, 1800.0);
+    EXPECT_DOUBLE_EQ(last[n - 2].f_mhz, 1200.0);
 }
 
 TEST_F(TraceTest, CooldownExtendsSamples)
