@@ -6,7 +6,9 @@
  * the hash with a pinned constant.  Host-side work on the simulator
  * (sim/npu/trace) must leave every constant unchanged; a deliberate
  * modelling change re-pins them, and the failure output prints the
- * observed values in the table's format for that purpose.
+ * observed values in the table's format for that purpose.  The
+ * predict-then-refine row pins what the strategy service stores once a
+ * background refinement settles.
  */
 
 #include <gtest/gtest.h>
@@ -22,8 +24,10 @@
 #include "dvfs/guard.h"
 #include "dvfs/pipeline.h"
 #include "models/model_zoo.h"
+#include "models/transformer.h"
 #include "npu/freq_table.h"
 #include "power/offline_calibration.h"
+#include "serve/service.h"
 #include "trace/workload_runner.h"
 
 namespace opdvfs {
@@ -224,6 +228,101 @@ hashCluster(const cluster::ClusterRunResult &run)
     return h.value();
 }
 
+void
+hashEvaluation(Hasher &h, const dvfs::StrategyEvaluation &e)
+{
+    for (double v : {e.seconds, e.aicore_joules, e.soc_joules,
+                     e.aicore_watts, e.soc_watts, e.delta_t})
+        h.f64(v);
+}
+
+std::uint64_t
+hashServed(const serve::StrategyResponse &response,
+           const serve::ServiceStats &stats)
+{
+    Hasher h;
+    h.u64(stats.refine_upgrades);
+    h.u64(stats.refine_discards);
+    h.i64(static_cast<std::int64_t>(response.provenance));
+    const dvfs::GaResult &ga = response.ga;
+    h.bytes(ga.best_genome.data(), ga.best_genome.size());
+    for (double mhz : ga.best_mhz)
+        h.f64(mhz);
+    h.f64(ga.best_score);
+    hashEvaluation(h, ga.best_eval);
+    hashEvaluation(h, ga.baseline_eval);
+    for (double score : ga.score_history)
+        h.f64(score);
+    h.i64(ga.converged_at);
+    h.f64(ga.pre_refine_score);
+    hashTriggers(h, response.strategy.plan.triggers);
+    h.f64(response.strategy.plan.initial_mhz);
+    if (response.strategy.meta) {
+        h.f64(response.strategy.meta->score);
+        h.str(response.strategy.meta->provenance);
+    }
+    return h.value();
+}
+
+models::Workload
+servedTransformer(const npu::MemorySystem &memory, int seq, int hidden)
+{
+    models::TransformerConfig model;
+    model.name = "golden-serve";
+    model.layers = 2;
+    model.hidden = hidden;
+    model.heads = 8;
+    model.seq = seq;
+    return models::buildTransformerTraining(memory, model, 5);
+}
+
+/**
+ * Predict-then-refine through the strategy service: one cold search
+ * trains the surrogate, a fresh first contact is served predicted,
+ * and the exact hit after the background refinement settles carries
+ * what that refinement left in the cache.  The first contact is one
+ * whose refinement beats the prediction, so the hash covers the
+ * refinement's own search result.
+ */
+std::uint64_t
+hashSettledRefinement(const npu::MemorySystem &memory,
+                      const power::CalibratedConstants &constants)
+{
+    tune::SurrogateOptions surrogate;
+    surrogate.min_rows = 1;
+    surrogate.refit_interval_rows = 1;
+    surrogate.boost_rounds = 6;
+    surrogate.quantile_cuts = 4;
+
+    serve::ServiceOptions options;
+    options.pipeline.warmup_seconds = 2.0;
+    options.pipeline.profile_freqs_mhz = {1000.0, 1800.0};
+    options.pipeline.ga.population = 30;
+    options.pipeline.ga.generations = 24;
+    options.pipeline.ga.refine_sweeps = 2;
+    options.pipeline.constants = constants;
+    options.workers = 2;
+    options.cache.capacity = 32;
+    options.cache.shards = 4;
+    options.surrogate = std::make_shared<tune::Surrogate>(surrogate);
+    options.predict_first = true;
+    options.refine_generation_fraction = 0.5;
+    serve::StrategyService service(options);
+
+    serve::StrategyRequest trainer;
+    trainer.workload = servedTransformer(memory, 256, 1024);
+    trainer.seed = 3;
+    service.submit(trainer).get();
+
+    serve::StrategyRequest fresh;
+    fresh.workload = servedTransformer(memory, 300, 768);
+    fresh.seed = 5;
+    service.submit(fresh).get();
+    service.waitForRefines();
+    serve::StrategyResponse hit = service.submit(fresh).get();
+    return hashServed(hit, service.stats());
+}
+
 /** A cyclic three-step strategy: mid-iteration drops, wrap restore. */
 std::vector<trace::SetFreqTrigger>
 stepTriggers(std::size_t op_count, double initial_mhz)
@@ -376,6 +475,10 @@ struct Observed
                                  {stepTriggers(bert.opCount(), 1800.0),
                                   {}},
                                  cluster_options)));
+
+        values.emplace_back(
+            "Transformer+predict+refine",
+            hashSettledRefinement(memory, *pipeline.constants));
     }
 };
 
@@ -405,6 +508,7 @@ const GoldenCase kGolden[] = {
     {"ResNet50+pipeline", 0x418509ed6c2d61f3ULL},
     {"ResNet50+driftloop", 0x0092dbfa74116337ULL},
     {"BERT+cluster", 0xc3f8b62aba5f0acaULL},
+    {"Transformer+predict+refine", 0x4ca0141d46f76ef6ULL},
 };
 
 TEST(GoldenRun, EveryFingerprintMatchesThePinnedValue)
