@@ -11,7 +11,7 @@
  *   2. seeded    — surrogate-seeded GA: the prediction joins the
  *                  initial population and the budget is halved; shows
  *                  how much search the prior replaces at equal final
- *                  quality (runs on the incremental fitness backend).
+ *                  quality.
  *   3. predict   — the serving-path predict-then-refine mode: the
  *                  response returns after profile + one model
  *                  evaluation (provenance "predicted"), the refinement
@@ -41,7 +41,6 @@
 #include "power/power_model.h"
 #include "serve/service.h"
 #include "tune/features.h"
-#include "tune/incremental.h"
 #include "tune/surrogate.h"
 
 namespace {
@@ -185,13 +184,11 @@ main()
             tune::PredictedStrategy predicted = tune::predictStrategy(
                 *surrogate, rows, evaluator, kLossTarget);
 
-            tune::IncrementalFitness fitness(evaluator);
             dvfs::GaOptions ga_options = pipeline_options.ga;
             ga_options.perf_loss_target = kLossTarget;
             ga_options.seed = kSeed * 7 + 13; // the pipeline derivation
             ga_options.generations = kFullGenerations / 2;
             ga_options.prior_individuals.push_back(predicted.mhz);
-            ga_options.fitness_backend = &fitness;
             dvfs::GaResult seeded = dvfs::searchStrategy(
                 evaluator, prepared.prep.stages, ga_options);
             seeded_ms.push_back(millisSince(start));

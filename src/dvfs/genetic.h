@@ -9,7 +9,7 @@
  * the piecewise scoring of Eq. 17 — individuals missing the
  * performance lower bound are penalised — then breeds the next
  * generation with score-proportional selection, tail-swap crossover
- * and point mutation.
+ * and point and block mutation.
  */
 
 #ifndef OPDVFS_DVFS_GENETIC_H
@@ -33,69 +33,6 @@ namespace opdvfs::dvfs {
 using ParallelFor =
     std::function<void(std::size_t count,
                        const std::function<void(std::size_t)> &fn)>;
-
-/** Half-open span [begin, end) of genome indices a child rewrote. */
-struct GeneSpan
-{
-    std::size_t begin = 0;
-    std::size_t end = 0;
-};
-
-/**
- * Breeding lineage of one individual within a generation: which slot
- * of the previously scored generation it descends from, and which
- * gene spans the crossover/mutation operators touched.  Outside the
- * dirty spans the child's genome is bitwise equal to the parent's —
- * the invariant an incremental fitness backend relies on to re-score
- * only changed stages.  Elites carry their slot with no dirty spans;
- * generation 0 and any individual without a tracked parent use
- * kNoParent (full evaluation).
- */
-struct GenomeLineage
-{
-    static constexpr std::size_t kNoParent =
-        static_cast<std::size_t>(-1);
-    std::size_t parent = kNoParent;
-    std::vector<GeneSpan> dirty;
-};
-
-/**
- * Pluggable population-fitness evaluator.  The GA calls
- * scoreGeneration() once per generation with the full population and
- * its lineage; an incremental backend (tune::IncrementalFitness)
- * keeps per-individual cached timeline/power sums and re-scores only
- * the dirty spans against the parent's cache.  scoreOne() is the
- * stand-alone path used by the memetic refinement probes; it must be
- * bit-consistent with scoreGeneration() (the backend's full and
- * incremental evaluations agree bitwise — property-tested).
- *
- * A backend instance is stateful across generations of ONE search:
- * do not share it between concurrent searchStrategy() calls.
- */
-class FitnessBackend
-{
-  public:
-    virtual ~FitnessBackend() = default;
-
-    /**
-     * Score every individual: write evals[i]/scores[i] for each i.
-     * @p lineage aligns with @p genomes; @p parallel_for, when set,
-     * must be used index-parallel exactly like the built-in path so
-     * scoring stays deterministic under any thread count.
-     */
-    virtual void
-    scoreGeneration(const std::vector<std::vector<std::uint8_t>> &genomes,
-                    const std::vector<GenomeLineage> &lineage,
-                    double perf_lower_bound,
-                    const ParallelFor &parallel_for,
-                    std::vector<double> &scores,
-                    std::vector<StrategyEvaluation> &evals) = 0;
-
-    /** Score one genome from scratch (refinement probes). */
-    virtual void scoreOne(const std::vector<std::uint8_t> &genome,
-                          double perf_lower_bound, double &score,
-                          StrategyEvaluation &eval) = 0;
-};
 
 /** GA hyper-parameters (paper defaults from Sect. 7.4). */
 struct GaOptions
@@ -137,20 +74,13 @@ struct GaOptions
     std::vector<std::vector<double>> prior_individuals;
     /**
      * When set, population fitness is scored through this loop (one
-     * index per individual).  Scoring is written by index and reduced
-     * serially afterwards, so the result is bit-identical to the
-     * serial path regardless of evaluation order or thread count.
+     * index per individual).  Each index writes its own
+     * StageEvaluator::evaluate + strategyScore result and the best
+     * individual is picked serially afterwards, so the result is
+     * bit-identical to the serial path regardless of evaluation order
+     * or thread count.
      */
     ParallelFor parallel_for;
-    /**
-     * Optional fitness backend (non-owning; must outlive the search).
-     * nullptr keeps the classic serial-sum evaluator path bit-for-bit
-     * unchanged.  A backend's pairwise-reduction sums differ from the
-     * serial path in final ulps, so switching backends is a search
-     * variant, not a bit-identical drop-in — within one backend, full
-     * and incremental evaluation are bit-identical.
-     */
-    FitnessBackend *fitness_backend = nullptr;
 };
 
 /** Search output. */
@@ -174,7 +104,12 @@ struct GaResult
 /** Eq. 17 score of an evaluation against the baseline bound. */
 double strategyScore(const StrategyEvaluation &eval, double perf_lower_bound);
 
-/** Run the search. */
+/**
+ * Run the search.  Every individual of every generation and every
+ * memetic refinement probe is scored by evaluator.evaluate() +
+ * strategyScore(), so GaResult::best_score is bitwise the Eq. 17 score
+ * of best_genome.
+ */
 GaResult searchStrategy(const StageEvaluator &evaluator,
                         const std::vector<Stage> &stages,
                         const GaOptions &options = {});

@@ -11,7 +11,6 @@
 #include "power/offline_calibration.h"
 #include "power/power_model.h"
 #include "tune/features.h"
-#include "tune/incremental.h"
 
 namespace opdvfs::serve {
 
@@ -717,7 +716,6 @@ StrategyService::runRefine(const StrategyRequest &request,
     dvfs::StageEvaluator evaluator(prepared.prep.stages,
                                    prepared.perf_models, power_model,
                                    prepared.op_power, table);
-    tune::IncrementalFitness fitness(evaluator);
 
     dvfs::GaOptions ga_options = options_.pipeline.ga;
     ga_options.perf_loss_target = request.perf_loss_target;
@@ -731,7 +729,6 @@ StrategyService::runRefine(const StrategyRequest &request,
         1, static_cast<int>(
                std::lround(options_.pipeline.ga.generations
                            * options_.refine_generation_fraction)));
-    ga_options.fitness_backend = &fitness;
     if (options_.parallel_fitness) {
         ga_options.parallel_for =
             [this](std::size_t count,
@@ -746,8 +743,9 @@ StrategyService::runRefine(const StrategyRequest &request,
 
     if (!(ga.best_score > predicted.score)) {
         // The prediction already matches (or beats) the search: keep
-        // serving it.  Its score was validated by a real evaluation,
-        // so this is a genuine tie, not an unverified claim.
+        // serving it.  Both scores come from the same evaluate() +
+        // strategyScore() path, so this is a genuine tie, not an
+        // artefact of summation order.
         refine_discards_.fetch_add(1, std::memory_order_relaxed);
         return;
     }

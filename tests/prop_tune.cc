@@ -2,15 +2,11 @@
  * @file
  * Property suite over the tune subsystem.
  *
- * The load-bearing invariant is the incremental-fitness contract: for
- * any problem and any seeded stream of elites, mutated children and
- * foreign genomes, IncrementalFitness::scoreGeneration (copy the
- * parent's reduction tree, patch dirty leaves, recompute ancestors)
- * is BITWISE identical to scoring every genome from scratch — same
- * score bits, same evaluation bits.  The surrogate must be exactly
- * reproducible (same corpus, same predictions), and every predicted
- * strategy must be frequency-table-snapped and meet the Eq. 17
- * performance lower bound after repair.
+ * The surrogate must be exactly reproducible (same corpus, same
+ * predictions), and every predicted strategy must be
+ * frequency-table-snapped, meet the Eq. 17 performance lower bound
+ * after repair, and carry a score and evaluation that are bitwise
+ * what StageEvaluator::evaluate + strategyScore give for its genome.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +22,6 @@
 #include "npu/freq_table.h"
 #include "power/power_model.h"
 #include "tune/features.h"
-#include "tune/incremental.h"
 #include "tune/surrogate.h"
 
 namespace {
@@ -51,217 +46,6 @@ sameBits(const dvfs::StrategyEvaluation &a,
            && sameBits(a.aicore_watts, b.aicore_watts)
            && sameBits(a.soc_watts, b.soc_watts)
            && sameBits(a.delta_t, b.delta_t);
-}
-
-// --- incremental fitness is bit-exact ----------------------------------
-
-struct MutationCase
-{
-    TinyProblem problem;
-    std::uint64_t stream_seed = 0;
-    int population = 6;
-    int generations = 4;
-};
-
-std::string
-show(const MutationCase &c)
-{
-    std::ostringstream os;
-    os << "stream_seed=" << c.stream_seed << " population="
-       << c.population << " generations=" << c.generations << "\n"
-       << check::show(c.problem);
-    return os.str();
-}
-
-/**
- * Replays a GA-shaped breeding stream against the backend: elites
- * (parent copy, no dirty spans), children (point/block/tail
- * mutations with their spans recorded, sometimes over-approximated)
- * and foreign genomes (no parent, full build).  Every generation is
- * cross-checked slot by slot against scoreOne full builds.
- */
-std::optional<std::string>
-checkIncrementalBitExact(const MutationCase &c)
-{
-    npu::FreqTable table(c.problem.freq);
-    power::PowerModel power_model(c.problem.constants, table);
-    dvfs::StageEvaluator evaluator(c.problem.stages, c.problem.perf,
-                                   power_model, c.problem.op_power,
-                                   table);
-    const std::size_t n = evaluator.stageCount();
-    const std::size_t freqs = evaluator.freqCount();
-    if (n == 0)
-        return std::string("tiny problem produced no stages");
-
-    dvfs::StrategyEvaluation baseline = evaluator.evaluateBaseline();
-    double per_lb = 1e-6 / baseline.seconds
-                    * (1.0 - c.problem.perf_loss_target);
-
-    tune::IncrementalFitness backend(evaluator);
-    tune::IncrementalFitness reference(evaluator);
-
-    Rng rng(c.stream_seed);
-    auto random_genome = [&] {
-        std::vector<std::uint8_t> genome(n);
-        for (std::uint8_t &gene : genome)
-            gene = static_cast<std::uint8_t>(rng.index(freqs));
-        return genome;
-    };
-
-    std::size_t population = static_cast<std::size_t>(c.population);
-    std::vector<std::vector<std::uint8_t>> current;
-    for (std::size_t i = 0; i < population; ++i)
-        current.push_back(random_genome());
-    std::vector<dvfs::GenomeLineage> lineage(population); // all kNoParent
-
-    // Exercise both the serial path and a caller-supplied loop that
-    // visits indices in reverse: scoring must not depend on order.
-    dvfs::ParallelFor reversed =
-        [](std::size_t count, const std::function<void(std::size_t)> &fn) {
-            for (std::size_t i = count; i-- > 0;)
-                fn(i);
-        };
-
-    bool scored_with_parent = false;
-    for (int gen = 0; gen < c.generations; ++gen) {
-        for (const dvfs::GenomeLineage &lin : lineage)
-            if (lin.parent != dvfs::GenomeLineage::kNoParent)
-                scored_with_parent = true;
-        std::vector<double> scores;
-        std::vector<dvfs::StrategyEvaluation> evals;
-        backend.scoreGeneration(current, lineage, per_lb,
-                                gen % 2 == 0 ? dvfs::ParallelFor{}
-                                             : reversed,
-                                scores, evals);
-        if (scores.size() != current.size()
-            || evals.size() != current.size())
-            return std::string("scoreGeneration wrote wrong sizes");
-
-        for (std::size_t i = 0; i < current.size(); ++i) {
-            double full_score = 0.0;
-            dvfs::StrategyEvaluation full_eval;
-            reference.scoreOne(current[i], per_lb, full_score,
-                               full_eval);
-            if (!sameBits(scores[i], full_score)
-                || !sameBits(evals[i], full_eval)) {
-                std::ostringstream os;
-                os << "generation " << gen << " slot " << i
-                   << ": incremental score "
-                   << std::hexfloat << scores[i]
-                   << " != full score " << full_score
-                   << " (parent "
-                   << (lineage[i].parent
-                               == dvfs::GenomeLineage::kNoParent
-                           ? std::string("none")
-                           : std::to_string(lineage[i].parent))
-                   << ", " << lineage[i].dirty.size()
-                   << " dirty spans)";
-                return os.str();
-            }
-        }
-
-        // Breed the next generation with recorded lineage.
-        std::vector<std::vector<std::uint8_t>> next;
-        std::vector<dvfs::GenomeLineage> next_lineage;
-        for (std::size_t i = 0; i < population; ++i) {
-            double kind = rng.uniform(0.0, 1.0);
-            if (kind < 0.2) { // elite: bitwise copy, no dirty spans
-                std::size_t parent = rng.index(current.size());
-                next.push_back(current[parent]);
-                next_lineage.push_back({parent, {}});
-                continue;
-            }
-            if (kind < 0.35) { // foreign genome: full build
-                next.push_back(random_genome());
-                next_lineage.push_back(
-                    {dvfs::GenomeLineage::kNoParent, {}});
-                continue;
-            }
-            std::size_t parent = rng.index(current.size());
-            std::vector<std::uint8_t> child = current[parent];
-            std::vector<dvfs::GeneSpan> dirty;
-            int edits = static_cast<int>(rng.uniformInt(1, 3));
-            for (int e = 0; e < edits; ++e) {
-                switch (rng.uniformInt(0, 2)) {
-                case 0: { // point mutation
-                    std::size_t at = rng.index(n);
-                    child[at] =
-                        static_cast<std::uint8_t>(rng.index(freqs));
-                    dirty.push_back({at, at + 1});
-                    break;
-                }
-                case 1: { // block mutation
-                    std::size_t start = rng.index(n);
-                    std::size_t len = 1 + rng.index(
-                        std::min<std::size_t>(4, n - start));
-                    for (std::size_t at = start; at < start + len; ++at)
-                        child[at] = static_cast<std::uint8_t>(
-                            rng.index(freqs));
-                    dirty.push_back({start, start + len});
-                    break;
-                }
-                default: { // tail swap from another parent
-                    std::size_t other = rng.index(current.size());
-                    std::size_t k = rng.index(n + 1);
-                    for (std::size_t at = n - k; at < n; ++at)
-                        child[at] = current[other][at];
-                    if (k > 0)
-                        dirty.push_back({n - k, n});
-                    break;
-                }
-                }
-            }
-            // A span may legally over-approximate (cover genes the
-            // edit left equal); the patch must still be exact.
-            if (!dirty.empty() && rng.chance(0.3))
-                dirty.back().end = std::min(dirty.back().end + 1, n);
-            next.push_back(std::move(child));
-            next_lineage.push_back({parent, std::move(dirty)});
-        }
-        current = std::move(next);
-        lineage = std::move(next_lineage);
-    }
-
-    tune::IncrementalStats stats = backend.stats();
-    if (stats.full_builds == 0)
-        return std::string("backend never did a full build");
-    if (scored_with_parent && stats.incremental_builds == 0)
-        return std::string("backend never took the incremental path");
-    if (stats.genes_patched > stats.genes_total)
-        return std::string("patched more genes than a full rebuild");
-    return std::nullopt;
-}
-
-TEST(PropTune, IncrementalFitnessBitExactUnderMutationStreams)
-{
-    Property<MutationCase> prop(
-        "incremental-fitness-bit-exact",
-        [](Rng &rng) {
-            MutationCase c;
-            c.problem = genTinyProblem(rng, 6, 4);
-            c.stream_seed = static_cast<std::uint64_t>(
-                rng.uniformInt(0, 1'000'000'000));
-            c.population = static_cast<int>(rng.uniformInt(2, 8));
-            c.generations = static_cast<int>(rng.uniformInt(1, 5));
-            return c;
-        },
-        checkIncrementalBitExact);
-    prop.withShrinker([](const MutationCase &c) {
-        std::vector<MutationCase> smaller;
-        if (c.generations > 1) {
-            MutationCase s = c;
-            s.generations = c.generations / 2;
-            smaller.push_back(s);
-        }
-        if (c.population > 2) {
-            MutationCase s = c;
-            s.population = c.population / 2 < 2 ? 2 : c.population / 2;
-            smaller.push_back(s);
-        }
-        return smaller;
-    });
-    prop.withPrinter([](const MutationCase &c) { return show(c); });
-    OPDVFS_CHECK_PROP(prop);
 }
 
 // --- surrogate determinism ---------------------------------------------

@@ -8,16 +8,23 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "dvfs/evaluator.h"
+#include "dvfs/genetic.h"
 #include "dvfs/strategy_io.h"
+#include "models/model_zoo.h"
 #include "models/transformer.h"
 #include "npu/freq_table.h"
 #include "power/offline_calibration.h"
+#include "power/power_model.h"
 #include "serve/service.h"
 
 namespace opdvfs::serve {
@@ -784,6 +791,70 @@ TEST(StrategyService, PredictFirstServesSurrogateThenRefinesAsync)
     // must never contain one.
     for (const CacheEntry &entry : service.snapshotCache())
         EXPECT_FALSE(entry.predicted);
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a)
+           == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(StrategyService, MultiStageRefinementScoresThroughTheEvaluator)
+{
+    ServiceOptions options = predictOptions(2);
+    StrategyService service(options);
+
+    StrategyRequest trainer;
+    trainer.workload = testWorkload(256);
+    trainer.seed = 3;
+    service.submit(trainer).get();
+    ASSERT_TRUE(options.surrogate->ready());
+
+    // A zoo model that preprocesses into 7 stages under these options
+    // and whose refinement beats the prediction, so a summation-order
+    // difference between the refinement's search and the evaluator
+    // would show in the last ulps of the stored score.
+    npu::MemorySystem memory(options.pipeline.chip.memory);
+    StrategyRequest fresh;
+    fresh.workload = models::buildWorkload("Vit_base", memory, 5);
+    fresh.seed = 9;
+    StrategyResponse predicted = service.submit(fresh).get();
+    ASSERT_EQ(predicted.provenance, Provenance::Predicted);
+    ASSERT_GE(predicted.strategy.stages.size(), 4u);
+    service.waitForRefines();
+    ASSERT_EQ(service.stats().refine_upgrades, 1u);
+
+    StrategyResponse hit = service.submit(fresh).get();
+    ASSERT_EQ(hit.provenance, Provenance::ExactHit);
+
+    // Rebuild the refinement's evaluator from the same profiling pass.
+    dvfs::PipelineOptions pipeline = options.pipeline;
+    pipeline.seed = fresh.seed;
+    pipeline.perf_loss_target = fresh.perf_loss_target;
+    dvfs::PreparedWorkload prepared =
+        dvfs::EnergyPipeline(pipeline).prepare(fresh.workload);
+    npu::FreqTable table(pipeline.chip.freq);
+    power::PowerModel power_model(prepared.constants, table);
+    dvfs::StageEvaluator evaluator(prepared.prep.stages,
+                                   prepared.perf_models, power_model,
+                                   prepared.op_power, table);
+    double per_lb = 1e-6 / evaluator.evaluateBaseline().seconds
+                    * (1.0 - fresh.perf_loss_target);
+
+    dvfs::StrategyEvaluation eval = evaluator.evaluate(hit.ga.best_genome);
+    EXPECT_TRUE(sameBits(hit.ga.best_score,
+                         dvfs::strategyScore(eval, per_lb)));
+    for (auto [stored, rebuilt] :
+         {std::pair{hit.ga.best_eval.seconds, eval.seconds},
+          std::pair{hit.ga.best_eval.aicore_joules, eval.aicore_joules},
+          std::pair{hit.ga.best_eval.soc_joules, eval.soc_joules},
+          std::pair{hit.ga.best_eval.aicore_watts, eval.aicore_watts},
+          std::pair{hit.ga.best_eval.soc_watts, eval.soc_watts},
+          std::pair{hit.ga.best_eval.delta_t, eval.delta_t}})
+        EXPECT_TRUE(sameBits(stored, rebuilt));
+    ASSERT_TRUE(hit.strategy.meta.has_value());
+    EXPECT_TRUE(sameBits(hit.strategy.meta->score, hit.ga.best_score));
 }
 
 TEST(StrategyService, PredictFirstRespectsColdQualityRequests)
