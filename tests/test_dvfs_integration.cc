@@ -137,6 +137,42 @@ TEST(StageEvaluator, GenomeLengthValidated)
     EXPECT_THROW(evaluator.evaluate(wrong), std::invalid_argument);
 }
 
+TEST(StageEvaluator, TableWiderThanAGeneIsRejected)
+{
+    Harness &h = harness();
+    // A 2 MHz step gives 401 points; a uint8_t gene would wrap the top
+    // index 400 onto 144 (1288 MHz) and mis-state the baseline.
+    npu::FreqTableConfig fine;
+    fine.step_mhz = 2.0;
+    npu::FreqTable wide(fine);
+    ASSERT_EQ(wide.frequenciesMhz().size(), 401u);
+    power::PowerModel wide_pm(h.constants, wide);
+    EXPECT_THROW(StageEvaluator(h.prep.stages, h.perf_repo, wide_pm,
+                                h.op_power, wide),
+                 std::invalid_argument);
+
+    // 256 points is the widest table a gene indexes: the baseline sits
+    // at the top frequency and the GA (whose per-level priors walk
+    // every gene value) still terminates.
+    fine.max_mhz = 1510.0;
+    npu::FreqTable widest(fine);
+    ASSERT_EQ(widest.frequenciesMhz().size(), 256u);
+    power::PowerModel widest_pm(h.constants, widest);
+    StageEvaluator evaluator(h.prep.stages, h.perf_repo, widest_pm,
+                             h.op_power, widest);
+    std::vector<std::uint8_t> top(evaluator.stageCount(), 255);
+    EXPECT_EQ(evaluator.evaluateBaseline().seconds,
+              evaluator.evaluate(top).seconds);
+    GaOptions options;
+    options.population = 8;
+    options.generations = 2;
+    options.refine_sweeps = 1;
+    GaResult result = searchStrategy(evaluator, h.prep.stages, options);
+    ASSERT_EQ(result.best_mhz.size(), evaluator.stageCount());
+    for (double mhz : result.best_mhz)
+        EXPECT_TRUE(widest.supports(mhz)) << mhz;
+}
+
 TEST(GeneticSearch, FindsStrategyBeatingBaselineScore)
 {
     Harness &h = harness();
