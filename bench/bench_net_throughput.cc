@@ -8,26 +8,20 @@
  *      dominate: the service answers from the cache in microseconds)
  *   3. exact-hit RPS with 4 concurrent connections (event-loop
  *      scaling; requests coalesce on the same cache entry)
- *   4. open-loop storm over 256 connections: every connection sends
- *      on a fixed arrival schedule (independent of completions, as
- *      far as one in-flight request per connection allows), offered
- *      at 2x the closed-loop 4-connection rate — achieved rps close
- *      to offered means the event loop absorbs a fleet-sized
- *      connection count; a latency blow-up means it saturated
- *   5. worker-path baseline: the same exact-hit traffic with the
+ *   4. worker-path baseline: the same exact-hit traffic with the
  *      reactor fast path disabled (decode -> worker -> re-encode),
  *      the denominator for the fast-path speedup
- *   6. exact-hit open-loop storm over 256 connections across reactor
- *      counts {1, 2, 4}, offered past saturation (2x a closed-loop
- *      probe), measuring fast-path capacity and reactor scaling
+ *   5. closed-loop exact-hit probes over 8 connections across reactor
+ *      counts {1, 2, 4}, measuring fast-path capacity and reactor
+ *      scaling
  *
  * Emits BENCH_net.json with RPS and p50/p95 per scenario.  On a
  * single-core host the reactor-scaling numbers measure overhead, not
- * parallelism — clients, reactors and workers share one CPU.
+ * parallelism — clients, reactors and workers share one CPU.  Open-loop
+ * hit latency and rate at an SLO are perfbench's serve-mix metrics.
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <iostream>
 #include <memory>
@@ -78,10 +72,6 @@ struct LatencyStats
     double p50 = 0.0;
     double p95 = 0.0;
     double rps = 0.0;
-    /** Calls that failed (deadline, Busy retries exhausted, breaker);
-     *  only the open-loop storm populates this — at saturation,
-     *  failures are a measurement, not a bug. */
-    std::uint64_t errors = 0;
 };
 
 LatencyStats
@@ -94,78 +84,6 @@ summarise(std::vector<double> latencies, double wall_seconds)
     stats.p50 = latencies[latencies.size() / 2];
     stats.p95 = latencies[latencies.size() * 95 / 100];
     stats.rps = static_cast<double>(latencies.size()) / wall_seconds;
-    return stats;
-}
-
-/**
- * Open-loop storm: @p connections clients each send on a fixed
- * arrival schedule — request i goes out at (i * connections /
- * offered_rps) seconds after the common start, whether or not earlier
- * requests have completed (late completions simply eat into the wait;
- * the schedule never shifts).  Returns completion latency percentiles
- * measured from the *scheduled* send time, so queueing delay shows up
- * as latency exactly as an outside observer would see it.
- */
-LatencyStats
-openLoopStorm(std::uint16_t port, const opdvfs::net::WireRequest &request,
-              std::size_t connections, double offered_rps,
-              double duration_seconds)
-{
-    int per_connection = std::max(
-        1, static_cast<int>(offered_rps * duration_seconds
-                            / static_cast<double>(connections)));
-    double interval =
-        static_cast<double>(connections) / offered_rps; // per connection
-    std::vector<std::vector<double>> latencies(connections);
-    std::atomic<std::uint64_t> errors{0};
-    std::vector<std::thread> threads;
-    auto start = Clock::now() + std::chrono::milliseconds(200);
-    for (std::size_t c = 0; c < connections; ++c) {
-        threads.emplace_back([&, c] {
-            std::unique_ptr<opdvfs::net::StrategyClient> client;
-            latencies[c].reserve(static_cast<std::size_t>(per_connection));
-            // Stagger connections across one interval so arrivals
-            // spread instead of beating in lockstep.
-            auto offset = std::chrono::duration<double>(
-                interval * static_cast<double>(c)
-                / static_cast<double>(connections));
-            for (int i = 0; i < per_connection; ++i) {
-                auto scheduled =
-                    start
-                    + std::chrono::duration_cast<Clock::duration>(
-                        offset
-                        + std::chrono::duration<double>(interval * i));
-                std::this_thread::sleep_until(scheduled);
-                // A storm offered above capacity legitimately blows
-                // deadlines and exhausts retries; count those instead
-                // of crashing — the error rate IS the saturation
-                // signal.  The client is rebuilt after a failure so a
-                // desynced connection cannot poison later calls.
-                try {
-                    if (!client)
-                        client = std::make_unique<
-                            opdvfs::net::StrategyClient>("127.0.0.1",
-                                                         port);
-                    client->call(request);
-                    latencies[c].push_back(
-                        std::chrono::duration<double>(Clock::now()
-                                                      - scheduled)
-                            .count());
-                } catch (const std::exception &) {
-                    errors.fetch_add(1, std::memory_order_relaxed);
-                    client.reset();
-                }
-            }
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
-    double wall = secondsSince(start);
-    std::vector<double> merged;
-    for (const auto &per_conn : latencies)
-        merged.insert(merged.end(), per_conn.begin(), per_conn.end());
-    LatencyStats stats = summarise(std::move(merged), wall);
-    stats.errors = errors.load();
     return stats;
 }
 
@@ -223,9 +141,7 @@ main()
     options.workers = 4;
     serve::StrategyService service(options);
 
-    net::ServerOptions server_options;
-    server_options.max_connections = 512; // the open-loop storm needs 256
-    net::StrategyServer server(service, server_options);
+    net::StrategyServer server(service, net::ServerOptions{});
     server.start();
     std::cout << "serving on 127.0.0.1:" << server.port() << "\n";
 
@@ -262,17 +178,6 @@ main()
               << " s, p95 " << four.p95 << " s, " << four.rps
               << " rps\n";
 
-    // --- 4: open-loop storm over 256 connections ------------------------
-    constexpr std::size_t kStormConnections = 256;
-    double offered = std::max(2000.0, 2.0 * four.rps);
-    LatencyStats storm = openLoopStorm(server.port(), hot,
-                                       kStormConnections, offered, 3.0);
-    std::cout << "open loop, " << kStormConnections
-              << " connections: offered " << offered << " rps, achieved "
-              << storm.rps << " rps, p50 " << storm.p50 << " s, p95 "
-              << storm.p95 << " s, " << storm.errors
-              << " failed calls\n";
-
     std::cout << "\ncold p50 " << cold.p50 << " s vs exact-hit p50 "
               << one.p50 << " s ("
               << (cold.p50 > 0.0 ? one.p50 / cold.p50 * 100.0 : 0.0)
@@ -283,13 +188,12 @@ main()
     // until all measurement is done; they all stop at the end.
     std::vector<std::unique_ptr<net::StrategyServer>> extra_servers;
 
-    // --- 5: worker-path baseline (fast path disabled) -------------------
+    // --- 4: worker-path baseline (fast path disabled) -------------------
     // The machine-relative denominator for the fast-path speedup: the
     // same exact-hit traffic forced through the worker hop (decode ->
     // submit -> future -> re-encode), as every request travelled
     // before the reactor fast path existed.
     net::ServerOptions worker_options;
-    worker_options.max_connections = 512;
     worker_options.fast_exact_hits = false;
     LatencyStats worker_path;
     {
@@ -306,51 +210,31 @@ main()
               << worker_path.rps << " rps, p50 " << worker_path.p50
               << " s\n";
 
-    // --- 6: exact-hit open-loop storm across reactor counts -------------
-    // 256 connections per run; offered rate adapts to the machine (2x
-    // a closed-loop probe) so the storm is always past saturation and
-    // achieved rps measures capacity, not the schedule.
+    // --- 5: closed-loop exact-hit probes across reactor counts ----------
     constexpr int kReactorCounts[] = {1, 2, 4};
-    LatencyStats reactor_storm[3];
     LatencyStats reactor_closed[3];
-    double reactor_offered[3] = {0.0, 0.0, 0.0};
     for (std::size_t i = 0; i < 3; ++i) {
-        net::ServerOptions storm_options;
-        storm_options.max_connections = 512;
-        storm_options.reactor_threads =
+        net::ServerOptions reactor_options;
+        reactor_options.reactor_threads =
             static_cast<std::size_t>(kReactorCounts[i]);
         extra_servers.push_back(std::make_unique<net::StrategyServer>(
-            service, storm_options));
-        net::StrategyServer &storm_server = *extra_servers.back();
-        storm_server.start();
+            service, reactor_options));
+        net::StrategyServer &reactor_server = *extra_servers.back();
+        reactor_server.start();
         // First call rides the worker path and publishes the
         // pre-encoded frame; everything after is on the reactors.
-        net::StrategyClient warm("127.0.0.1", storm_server.port());
+        net::StrategyClient warm("127.0.0.1", reactor_server.port());
         warm.call(hot);
         reactor_closed[i] =
-            exactHitStorm(storm_server.port(), hot, 8, 100);
-        reactor_offered[i] =
-            2.0 * std::max(1000.0, reactor_closed[i].rps);
-        reactor_storm[i] =
-            openLoopStorm(storm_server.port(), hot, kStormConnections,
-                          reactor_offered[i], 3.0);
-        net::ServerStats stats = storm_server.stats();
+            exactHitStorm(reactor_server.port(), hot, 8, 100);
+        net::ServerStats stats = reactor_server.stats();
         std::cout << "exact-hit closed loop, " << kReactorCounts[i]
                   << " reactor(s), 8 connections: "
-                  << reactor_closed[i].rps << " rps\n";
-        std::cout << "exact-hit storm, " << kReactorCounts[i]
-                  << " reactor(s), " << kStormConnections
-                  << " connections: offered " << reactor_offered[i]
-                  << " rps, achieved " << reactor_storm[i].rps
-                  << " rps, p50 " << reactor_storm[i].p50 << " s, p95 "
-                  << reactor_storm[i].p95 << " s, "
-                  << reactor_storm[i].errors << " failed calls, "
+                  << reactor_closed[i].rps << " rps, "
                   << stats.fast_path_hits << " fast-path hits\n";
     }
     // Closed-loop over closed-loop: both sides measured the same way,
-    // so the ratio isolates the fast path (the open-loop storm is
-    // client-bound on small hosts and measures saturation behaviour,
-    // not capacity).
+    // so the ratio isolates the fast path.
     double fast_path_speedup =
         worker_path.rps > 0.0 ? four.rps / worker_path.rps : 0.0;
     double reactor_scaling = reactor_closed[0].rps > 0.0
@@ -377,12 +261,6 @@ main()
     json.add("exact_hit_rps_4conn", four.rps, "rps");
     json.add("conn_scaling_4_over_1",
              one.rps > 0.0 ? four.rps / one.rps : 0.0, "x");
-    json.add("open_loop_offered_256conn", offered, "rps");
-    json.add("open_loop_achieved_256conn", storm.rps, "rps");
-    json.add("open_loop_p50_256conn", storm.p50, "s");
-    json.add("open_loop_p95_256conn", storm.p95, "s");
-    json.add("open_loop_errors_256conn",
-             static_cast<double>(storm.errors), "count");
     json.add("exact_hit_fraction_of_cold",
              cold.p50 > 0.0 ? one.p50 / cold.p50 : 0.0, "ratio");
     json.add("worker_path_rps_4conn", worker_path.rps, "rps");
@@ -392,16 +270,6 @@ main()
             "_r" + std::to_string(kReactorCounts[i]);
         json.add("exact_hit_closed_rps" + suffix,
                  reactor_closed[i].rps, "rps");
-        json.add("exact_hit_storm_offered" + suffix,
-                 reactor_offered[i], "rps");
-        json.add("exact_hit_storm_rps" + suffix, reactor_storm[i].rps,
-                 "rps");
-        json.add("exact_hit_storm_p50" + suffix, reactor_storm[i].p50,
-                 "s");
-        json.add("exact_hit_storm_p95" + suffix, reactor_storm[i].p95,
-                 "s");
-        json.add("exact_hit_storm_errors" + suffix,
-                 static_cast<double>(reactor_storm[i].errors), "count");
     }
     json.add("fast_path_speedup", fast_path_speedup, "x");
     json.add("reactor_scaling_4_over_1", reactor_scaling, "x");
