@@ -8,7 +8,9 @@
  * modelling change re-pins them, and the failure output prints the
  * observed values in the table's format for that purpose.  The
  * predict-then-refine row pins what the strategy service stores once a
- * background refinement settles.
+ * background refinement settles; the three search rows pin every field
+ * of a GaResult, so a change to the GA's host-side work must leave
+ * them unchanged as well.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -236,15 +239,10 @@ hashEvaluation(Hasher &h, const dvfs::StrategyEvaluation &e)
         h.f64(v);
 }
 
-std::uint64_t
-hashServed(const serve::StrategyResponse &response,
-           const serve::ServiceStats &stats)
+/** Every GaResult field, bit for bit. */
+void
+hashGa(Hasher &h, const dvfs::GaResult &ga)
 {
-    Hasher h;
-    h.u64(stats.refine_upgrades);
-    h.u64(stats.refine_discards);
-    h.i64(static_cast<std::int64_t>(response.provenance));
-    const dvfs::GaResult &ga = response.ga;
     h.bytes(ga.best_genome.data(), ga.best_genome.size());
     for (double mhz : ga.best_mhz)
         h.f64(mhz);
@@ -255,6 +253,26 @@ hashServed(const serve::StrategyResponse &response,
         h.f64(score);
     h.i64(ga.converged_at);
     h.f64(ga.pre_refine_score);
+}
+
+std::uint64_t
+hashSearch(const dvfs::PipelineOptions &options,
+           const models::Workload &workload)
+{
+    Hasher h;
+    hashGa(h, dvfs::EnergyPipeline(options).optimize(workload).ga);
+    return h.value();
+}
+
+std::uint64_t
+hashServed(const serve::StrategyResponse &response,
+           const serve::ServiceStats &stats)
+{
+    Hasher h;
+    h.u64(stats.refine_upgrades);
+    h.u64(stats.refine_discards);
+    h.i64(static_cast<std::int64_t>(response.provenance));
+    hashGa(h, response.ga);
     hashTriggers(h, response.strategy.plan.triggers);
     h.f64(response.strategy.plan.initial_mhz);
     if (response.strategy.meta) {
@@ -479,6 +497,62 @@ struct Observed
         values.emplace_back(
             "Transformer+predict+refine",
             hashSettledRefinement(memory, *pipeline.constants));
+
+        // Whole GA searches at the bench options (Sect. 7.4: population
+        // 200 x 600 generations, 12 refine sweeps).  First the GPT-3
+        // Table 3 anchor row (2%, seed 1, 1326 stages) with
+        // bench_table3_end2end's settings.
+        dvfs::PipelineOptions table3;
+        table3.chip = chip;
+        table3.perf_loss_target = 0.02;
+        table3.constants = pipeline.constants;
+        table3.warmup_seconds = 15.0;
+        table3.fit_kind = perf::FitFunction::PwlCycles;
+        table3.profile_freqs_mhz = {1000.0, 1400.0, 1800.0};
+        table3.preprocess.fai = 5 * kTicksPerMs;
+        table3.ga.population = 200;
+        table3.ga.generations = 600;
+        table3.ga.mutation_rate = 0.15;
+        table3.seed = 1;
+        values.emplace_back(
+            "GPT3+table3+search",
+            hashSearch(table3, models::buildWorkload("GPT3", memory, 1)));
+
+        // A one-stage serving first contact (serve-mix's pipeline:
+        // 0.5 s warm-up, two profile points) warm-started from one
+        // prior individual.
+        dvfs::PipelineOptions first_contact = table3;
+        first_contact.warmup_seconds = 0.5;
+        first_contact.profile_freqs_mhz = {1000.0, 1800.0};
+        first_contact.ga.prior_individuals = {{1400.0}};
+        first_contact.seed = 5;
+        values.emplace_back(
+            "Transformer+prior+search",
+            hashSearch(first_contact, servedTransformer(memory, 300, 768)));
+
+        // BERT scored through an injected loop that runs its indices
+        // backwards: evaluation order must not reach the result.
+        dvfs::PipelineOptions reversed = table3;
+        reversed.warmup_seconds = 2.0;
+        reversed.seed = 3;
+        reversed.ga.parallel_for =
+            [](std::size_t count,
+               const std::function<void(std::size_t)> &fn) {
+                for (std::size_t i = count; i-- > 0;)
+                    fn(i);
+            };
+        values.emplace_back("BERT+reversed+search",
+                            hashSearch(reversed, bert));
+
+        // An odd number of children per generation (31 - 2 elites), so
+        // the last pair's second child finds the generation full; its
+        // mutation draws still shape every later generation.
+        dvfs::PipelineOptions odd = reversed;
+        odd.ga.parallel_for = nullptr;
+        odd.ga.population = 31;
+        odd.ga.generations = 60;
+        values.emplace_back("BERT+odd-population+search",
+                            hashSearch(odd, bert));
     }
 };
 
@@ -509,6 +583,10 @@ const GoldenCase kGolden[] = {
     {"ResNet50+driftloop", 0x0092dbfa74116337ULL},
     {"BERT+cluster", 0xc3f8b62aba5f0acaULL},
     {"Transformer+predict+refine", 0x4ca0141d46f76ef6ULL},
+    {"GPT3+table3+search", 0xb56dd3c044ca50c5ULL},
+    {"Transformer+prior+search", 0xc2cf9cef74929fd8ULL},
+    {"BERT+reversed+search", 0x37e4884f113f79d3ULL},
+    {"BERT+odd-population+search", 0xb0f5205d8fc01945ULL},
 };
 
 TEST(GoldenRun, EveryFingerprintMatchesThePinnedValue)
