@@ -1,24 +1,23 @@
 #include "common/random.h"
 
-#include <numeric>
+#include <algorithm>
 
 namespace opdvfs {
 
 std::size_t
-Rng::weightedIndex(const std::vector<double> &weights)
+Rng::weightedIndex(const std::vector<double> &prefix)
 {
-    double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+    double total = prefix.back();
     if (total <= 0.0)
-        return index(weights.size());
+        return index(prefix.size());
 
+    // Non-negative weights keep the sums non-decreasing, so the first
+    // sum above r is the index where a scan's running total passes r.
     double r = uniform(0.0, total);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        acc += weights[i];
-        if (r < acc)
-            return i;
-    }
-    return weights.size() - 1;
+    auto at = std::upper_bound(prefix.begin(), prefix.end(), r);
+    return at == prefix.end()
+        ? prefix.size() - 1
+        : static_cast<std::size_t>(at - prefix.begin());
 }
 
 } // namespace opdvfs

@@ -74,11 +74,15 @@ class Rng
     }
 
     /**
-     * Sample an index in [0, weights.size()) with probability
-     * proportional to the (non-negative) weights.  If all weights are
-     * zero, samples uniformly.
+     * Roulette-wheel draw: sample an index in [0, prefix.size()) with
+     * probability proportional to its weight, given the running sums
+     * of the (non-negative, finite) weights left to right, e.g. from
+     * std::partial_sum.  If every weight is zero, samples uniformly.
+     * Build the sums once per weight vector: each draw is then one
+     * uniform deviate plus a binary search, and returns exactly the
+     * index a linear scan over the weights would.
      */
-    std::size_t weightedIndex(const std::vector<double> &weights);
+    std::size_t weightedIndex(const std::vector<double> &prefix);
 
     /** Derive an independent child RNG; advances this generator. */
     Rng

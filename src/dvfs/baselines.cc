@@ -1,6 +1,7 @@
 #include "dvfs/baselines.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/random.h"
@@ -113,11 +114,13 @@ searchModelFree(const trace::WorkloadRunner &runner,
     while (result.evaluations < options.evaluation_budget) {
         if (next_to_score >= population.size()) {
             // Breed the next generation from what has been measured.
+            std::vector<double> prefix(scores.size());
+            std::partial_sum(scores.begin(), scores.end(), prefix.begin());
             std::vector<Genome> next;
             next.push_back(result.best_mhz); // elitism
             while (next.size() < population.size()) {
-                Genome a = population[rng.weightedIndex(scores)];
-                Genome b = population[rng.weightedIndex(scores)];
+                Genome a = population[rng.weightedIndex(prefix)];
+                Genome b = population[rng.weightedIndex(prefix)];
                 if (n > 1 && rng.chance(options.crossover_rate)) {
                     std::size_t k = rng.index(n - 1) + 1;
                     for (std::size_t s = n - k; s < n; ++s)

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -22,26 +25,27 @@ closestIndex(const std::vector<double> &freqs, double mhz)
 }
 
 /**
- * Convert a prior strategy (MHz per stage, possibly for a different
- * stage count) to a genome of length @p n: nearest-position resampling
- * over stage index, then snap each frequency to the table.
+ * Write a prior strategy (MHz per stage, possibly for a different
+ * stage count) into @p genome, a row of @p n genes: nearest-position
+ * resampling over stage index, then snap each frequency to the table.
  */
-std::vector<std::uint8_t>
+void
 genomeFromPrior(const std::vector<double> &prior_mhz, std::size_t n,
-                const std::vector<double> &freqs)
+                const std::vector<double> &freqs, std::uint8_t *genome)
 {
     if (prior_mhz.empty())
         throw std::invalid_argument("searchStrategy: empty prior "
                                     "individual");
-    std::vector<std::uint8_t> genome(n);
     for (std::size_t s = 0; s < n; ++s) {
         std::size_t src = n == 1 ? 0 : s * prior_mhz.size() / n;
         if (src >= prior_mhz.size())
             src = prior_mhz.size() - 1;
         genome[s] = closestIndex(freqs, prior_mhz[src]);
     }
-    return genome;
 }
+
+/** Dirty rows per evaluation block handed to GaOptions::parallel_for. */
+constexpr std::size_t kRowsPerBlock = 16;
 
 } // namespace
 
@@ -78,116 +82,159 @@ searchStrategy(const StageEvaluator &evaluator,
     double per_baseline = 1e-6 / result.baseline_eval.seconds;
     double per_lb = per_baseline * (1.0 - options.perf_loss_target);
 
-    using Genome = std::vector<std::uint8_t>;
+    // Populations are flat buffers, row i holding individual i's
+    // genes, and children are bred straight into `next`.  Both buffers
+    // (they swap each generation) end in a spare row: a second child
+    // bred once the generation is full lands there, so its mutation
+    // draws still advance the random stream.
+    const auto pop = static_cast<std::size_t>(options.population);
+    std::vector<std::uint8_t> population((pop + 1) * n);
+    std::vector<std::uint8_t> next((pop + 1) * n);
+    auto row = [n](std::vector<std::uint8_t> &rows, std::size_t i) {
+        return rows.data() + i * n;
+    };
 
     // --- first generation -------------------------------------------------
-    std::vector<Genome> population;
-    population.reserve(static_cast<std::size_t>(options.population));
-    population.emplace_back(n, max_index); // baseline individual
+    std::size_t filled = 0;
+    std::fill_n(row(population, filled++), n, max_index); // baseline
 
-    auto makePrior = [&](std::uint8_t lfc, std::uint8_t hfc) {
-        Genome prior(n, max_index);
+    auto addPrior = [&](std::uint8_t lfc, std::uint8_t hfc) {
+        std::uint8_t *prior = row(population, filled++);
         for (std::size_t s = 0; s < n; ++s)
             prior[s] = stages[s].high_frequency ? hfc : lfc;
-        return prior;
     };
-    population.push_back(
-        makePrior(closestIndex(freqs, options.prior_lfc_mhz),
-                  closestIndex(freqs, options.prior_hfc_mhz)));
+    addPrior(closestIndex(freqs, options.prior_lfc_mhz),
+             closestIndex(freqs, options.prior_hfc_mhz));
     if (options.multi_level_priors) {
         // A size_t counter: a uint8_t one never passes a max_index of
         // 255 (a 256-point table).
         for (std::size_t lfc = 0; lfc < freqs.size(); ++lfc) {
-            if (population.size()
-                < static_cast<std::size_t>(options.population)) {
-                population.push_back(
-                    makePrior(static_cast<std::uint8_t>(lfc), max_index));
-            }
+            if (filled < pop)
+                addPrior(static_cast<std::uint8_t>(lfc), max_index);
         }
     }
     // Warm-start priors (e.g. cached strategies of similar workloads)
     // join generation 0 like any other individual; a bad prior simply
     // dies off, a good one pulls convergence forward.
     for (const auto &prior_mhz : options.prior_individuals) {
-        if (population.size() >= static_cast<std::size_t>(options.population))
+        if (filled >= pop)
             break;
-        population.push_back(genomeFromPrior(prior_mhz, n, freqs));
+        genomeFromPrior(prior_mhz, n, freqs, row(population, filled++));
     }
 
-    while (population.size() < static_cast<std::size_t>(options.population)) {
-        Genome g(n);
-        for (auto &gene : g)
-            gene = static_cast<std::uint8_t>(rng.index(freqs.size()));
-        population.push_back(std::move(g));
+    for (; filled < pop; ++filled) {
+        std::uint8_t *genome = row(population, filled);
+        for (std::size_t s = 0; s < n; ++s)
+            genome[s] = static_cast<std::uint8_t>(rng.index(freqs.size()));
     }
 
     // --- evolution ---------------------------------------------------------
-    std::vector<double> scores(population.size());
-    std::vector<StrategyEvaluation> evals(population.size());
+    std::vector<double> scores(pop), next_scores(pop), prefix(pop);
+    std::vector<StrategyEvaluation> evals(pop), next_evals(pop);
+    std::vector<std::size_t> order(pop);
+    // Rows to evaluate: all of generation 0, then each generation's
+    // children that differ from the row they were copied from.
+    std::vector<std::size_t> dirty(pop);
+    std::iota(dirty.begin(), dirty.end(), std::size_t{0});
     result.best_score = -1.0;
+    result.score_history.reserve(
+        static_cast<std::size_t>(options.generations));
 
-    // Score every individual, in parallel when a loop is injected.
-    // Each index writes only its own slot; the best-individual
-    // reduction below runs serially in ascending index order, so
-    // selection is independent of evaluation order and thread count.
-    auto scoreAll = [&](const std::vector<Genome> &individuals) {
-        auto scoreOne = [&](std::size_t i) {
-            evals[i] = evaluator.evaluate(individuals[i]);
-            scores[i] = strategyScore(evals[i], per_lb);
+    // Score the dirty rows block by block, in parallel when a loop is
+    // injected.  Each block writes only its own rows' slots; the
+    // best-individual reduction below runs serially in ascending row
+    // order, so selection is independent of evaluation order and
+    // thread count.
+    const std::function<void(std::size_t)> scoreBlock =
+        [&](std::size_t block) {
+            std::span<const std::size_t> rows =
+                std::span(dirty).subspan(
+                    block * kRowsPerBlock,
+                    std::min(kRowsPerBlock,
+                             dirty.size() - block * kRowsPerBlock));
+            evaluator.evaluate(
+                std::span<const std::uint8_t>(population.data(), pop * n),
+                rows, evals);
+            for (std::size_t i : rows)
+                scores[i] = strategyScore(evals[i], per_lb);
         };
-        if (options.parallel_for) {
-            options.parallel_for(individuals.size(), scoreOne);
-        } else {
-            for (std::size_t i = 0; i < individuals.size(); ++i)
-                scoreOne(i);
-        }
-    };
 
     for (int gen = 0; gen < options.generations; ++gen) {
-        scoreAll(population);
-        for (std::size_t i = 0; i < population.size(); ++i) {
+        std::size_t blocks = (dirty.size() + kRowsPerBlock - 1)
+            / kRowsPerBlock;
+        if (options.parallel_for && blocks > 0) {
+            options.parallel_for(blocks, scoreBlock);
+        } else {
+            for (std::size_t b = 0; b < blocks; ++b)
+                scoreBlock(b);
+        }
+        for (std::size_t i = 0; i < pop; ++i) {
             if (scores[i] > result.best_score) {
                 result.best_score = scores[i];
-                result.best_genome = population[i];
+                result.best_genome.assign(row(population, i),
+                                          row(population, i) + n);
                 result.best_eval = evals[i];
                 result.converged_at = gen;
             }
         }
         result.score_history.push_back(result.best_score);
+        // The last generation's children would never be scored.
+        if (gen + 1 == options.generations)
+            break;
 
         // Rank for elitism.
-        std::vector<std::size_t> order(population.size());
-        for (std::size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
+        std::iota(order.begin(), order.end(), std::size_t{0});
         std::sort(order.begin(), order.end(),
                   [&scores](std::size_t a, std::size_t b) {
                       return scores[a] > scores[b];
                   });
 
-        std::vector<Genome> next;
-        next.reserve(population.size());
-        for (int e = 0; e < options.elite
-             && e < static_cast<int>(order.size()); ++e)
-            next.push_back(population[order[static_cast<std::size_t>(e)]]);
+        // Roulette selection over the running score sums, summed left
+        // to right as a linear scan over the scores would.
+        std::partial_sum(scores.begin(), scores.end(), prefix.begin());
 
-        while (next.size() < population.size()) {
-            std::size_t ia = rng.weightedIndex(scores);
-            std::size_t ib = rng.weightedIndex(scores);
-            Genome a = population[ia];
-            Genome b = population[ib];
+        // evaluate() is a pure function of the genome, so an elite,
+        // or a child that crossover and mutation left bytewise equal
+        // to the row it was copied from, inherits that row's scores.
+        auto inherit = [&](std::size_t child, std::size_t parent) {
+            next_evals[child] = evals[parent];
+            next_scores[child] = scores[parent];
+        };
+        auto settle = [&](std::size_t child, std::size_t parent) {
+            if (std::memcmp(row(next, child), row(population, parent), n)
+                == 0)
+                inherit(child, parent);
+            else
+                dirty.push_back(child);
+        };
+        dirty.clear();
+        filled = 0;
+        for (; filled < pop && static_cast<int>(filled) < options.elite;
+             ++filled) {
+            std::copy_n(row(population, order[filled]), n,
+                        row(next, filled));
+            inherit(filled, order[filled]);
+        }
+
+        while (filled < pop) {
+            std::size_t ia = rng.weightedIndex(prefix);
+            std::size_t ib = rng.weightedIndex(prefix);
+            std::uint8_t *a = row(next, filled);
+            std::uint8_t *b = row(next, filled + 1);
+            std::copy_n(row(population, ia), n, a);
+            std::copy_n(row(population, ib), n, b);
 
             // Tail-swap crossover (Sect. 6.3.3): exchange the last k
             // frequency settings.
             if (n > 1 && rng.chance(options.crossover_rate)) {
                 std::size_t k = rng.index(n - 1) + 1;
-                for (std::size_t s = n - k; s < n; ++s)
-                    std::swap(a[s], b[s]);
+                std::swap_ranges(a + (n - k), a + n, b + (n - k));
             }
 
-            for (Genome *child : {&a, &b}) {
+            for (std::uint8_t *child : {a, b}) {
                 if (rng.chance(options.mutation_rate)) {
                     std::size_t at = rng.index(n);
-                    (*child)[at] =
+                    child[at] =
                         static_cast<std::uint8_t>(rng.index(freqs.size()));
                 }
                 // Block mutation: neighbouring stages carry similar
@@ -199,14 +246,17 @@ searchStrategy(const StageEvaluator &evaluator,
                                           n - start, 64)) + 1;
                     auto value = static_cast<std::uint8_t>(
                         rng.index(freqs.size()));
-                    for (std::size_t s = start; s < start + len; ++s)
-                        (*child)[s] = value;
+                    std::fill_n(child + start, len, value);
                 }
-                if (next.size() < population.size())
-                    next.push_back(std::move(*child));
             }
+
+            settle(filled++, ia);
+            if (filled < pop)
+                settle(filled++, ib);
         }
-        population = std::move(next);
+        std::swap(population, next);
+        std::swap(scores, next_scores);
+        std::swap(evals, next_evals);
     }
 
     // Memetic refinement: single-gene hill climbing from the GA's best
@@ -219,7 +269,7 @@ searchStrategy(const StageEvaluator &evaluator,
                 int gene = static_cast<int>(result.best_genome[s]) + step;
                 if (gene < 0 || gene > static_cast<int>(max_index))
                     continue;
-                Genome candidate = result.best_genome;
+                std::vector<std::uint8_t> candidate = result.best_genome;
                 candidate[s] = static_cast<std::uint8_t>(gene);
                 StrategyEvaluation eval = evaluator.evaluate(candidate);
                 double score = strategyScore(eval, per_lb);
