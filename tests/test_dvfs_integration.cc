@@ -135,6 +135,23 @@ TEST(StageEvaluator, GenomeLengthValidated)
                              h.table);
     std::vector<std::uint8_t> wrong(evaluator.stageCount() + 1, 0);
     EXPECT_THROW(evaluator.evaluate(wrong), std::invalid_argument);
+
+    // The batched overload checks its buffer likewise: whole rows, one
+    // output slot per row, every listed row in range.
+    const std::size_t n = evaluator.stageCount();
+    std::vector<std::uint8_t> rows(2 * n, 0);
+    std::vector<StrategyEvaluation> out(2);
+    std::vector<std::size_t> listed = {1, 0};
+    EXPECT_NO_THROW(evaluator.evaluate(rows, listed, out));
+    std::vector<std::uint8_t> ragged(2 * n + 1, 0);
+    EXPECT_THROW(evaluator.evaluate(ragged, listed, out),
+                 std::invalid_argument);
+    std::vector<StrategyEvaluation> one_slot(1);
+    EXPECT_THROW(evaluator.evaluate(rows, listed, one_slot),
+                 std::invalid_argument);
+    std::vector<std::size_t> beyond = {0, 2};
+    EXPECT_THROW(evaluator.evaluate(rows, beyond, out),
+                 std::invalid_argument);
 }
 
 TEST(StageEvaluator, TableWiderThanAGeneIsRejected)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "dvfs/evaluator.h"
 #include "dvfs/genetic.h"
 #include "npu/freq_table.h"
@@ -145,6 +148,35 @@ TEST(GaOptionsTest, RefinementNeverHurts)
     GaResult result =
         searchStrategy(*fixture.evaluator, fixture.stages, options);
     EXPECT_GE(result.best_score, result.pre_refine_score);
+}
+
+TEST(GaOptionsTest, ParallelForGetsBlocksOfRowsThatNeedScoring)
+{
+    // Generation 0 scores all 40 rows: three blocks of at most 16.
+    // With every row an elite, later generations inherit every score
+    // and make no call at all.
+    TinyFixture fixture(6);
+    GaOptions options = smallGa();
+    options.population = 40;
+    options.elite = 40;
+    options.generations = 5;
+    std::vector<std::size_t> calls;
+    options.parallel_for = [&calls](
+                               std::size_t count,
+                               const std::function<void(std::size_t)> &fn) {
+        calls.push_back(count);
+        for (std::size_t i = 0; i < count; ++i)
+            fn(i);
+    };
+    GaResult blocked =
+        searchStrategy(*fixture.evaluator, fixture.stages, options);
+    EXPECT_EQ(calls, std::vector<std::size_t>{3});
+
+    options.parallel_for = nullptr;
+    GaResult serial =
+        searchStrategy(*fixture.evaluator, fixture.stages, options);
+    EXPECT_EQ(blocked.best_genome, serial.best_genome);
+    EXPECT_EQ(blocked.score_history, serial.score_history);
 }
 
 TEST(GaOptionsTest, InvalidOptionsThrow)
