@@ -221,8 +221,8 @@ main()
             service, reactor_options));
         net::StrategyServer &reactor_server = *extra_servers.back();
         reactor_server.start();
-        // First call rides the worker path and publishes the
-        // pre-encoded frame; everything after is on the reactors.
+        // The hot entry sits in the shared service's cache and already
+        // carries its frame, so every call here is on the reactors.
         net::StrategyClient warm("127.0.0.1", reactor_server.port());
         warm.call(hot);
         reactor_closed[i] =

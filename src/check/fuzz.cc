@@ -602,7 +602,8 @@ genCacheEntry(Rng &rng)
         entry.ga.best_mhz.push_back(mhz);
     entry.ga.best_score = rng.uniform(0.0, 2.0);
     entry.perf_loss_target = rng.uniform(0.005, 0.2);
-    entry.warm_start_only = rng.chance(0.3);
+    if (rng.chance(0.3))
+        entry.kind = serve::CacheEntry::Kind::Donor;
     return entry;
 }
 

@@ -72,6 +72,19 @@ encodeExactHitFrame(const WireResponse &ok,
     return frameResponse(hit, limits);
 }
 
+std::string
+encodeExactHitFrame(const serve::CacheEntry &entry,
+                    std::uint32_t full_generations,
+                    const WireLimits &limits)
+{
+    WireResponse ok;
+    ok.strategy = entry.strategy;
+    ok.best_score = entry.ga.best_score;
+    ok.fingerprint_digest = entry.fingerprint.digest;
+    return encodeExactHitFrame(ok, full_generations,
+                               entry.fingerprint.model_epoch, limits);
+}
+
 StrategyServer::StrategyServer(serve::StrategyService &service,
                                ServerOptions options)
     : service_(service), options_(std::move(options)),
@@ -80,18 +93,13 @@ StrategyServer::StrategyServer(serve::StrategyService &service,
           service.options().pipeline.ga.generations < 0
               ? 0
               : service.options().pipeline.ga.generations)),
-      encoded_(serve::EncodedCacheOptions{
-          options_.encoded_cache_capacity})
+      encode_hit_([this](const serve::CacheEntry &entry) {
+          return encodeExactHitFrame(entry, full_generations_,
+                                     options_.limits);
+      })
 {
     if (options_.reactor_threads == 0)
         options_.reactor_threads = 1;
-    // When an async refinement upgrades a predicted cache entry, the
-    // pre-encoded frame of the prediction must stop being served; the
-    // next exact hit then re-populates from the refined strategy.
-    if (options_.fast_exact_hits) {
-        service_.setUpgradeListener(
-            [this](std::uint64_t digest) { encoded_.erase(digest); });
-    }
 }
 
 StrategyServer::~StrategyServer()
@@ -178,7 +186,7 @@ StrategyServer::start()
     for (std::size_t i = 0; i < count; ++i) {
         auto reactor = std::make_unique<Reactor>();
         reactor->index = i;
-        reactor->cache_reader = encoded_.registerReader();
+        reactor->cache_reader = service_.registerCacheReader();
         reactors_.push_back(std::move(reactor));
     }
 
@@ -231,19 +239,14 @@ StrategyServer::stop()
     if (phase_.compare_exchange_strong(expected, 1)) {
         for (auto &reactor : reactors_)
             wakeReactor(*reactor);
-        // Unhook the upgrade listener before draining: drain() waits
-        // out in-flight refinements (which may still fire the copy
-        // they already hold — encoded_ outlives stop()), and nothing
-        // scheduled afterwards may reach into this server again.
-        service_.setUpgradeListener(nullptr);
         // Every admitted request completes before drain() returns;
         // the reactors keep running to flush those responses out.
         service_.drain();
         // drain() fences the service's work, not our completion
         // callbacks (the admission slot is released before a callback
         // runs).  Wait until every callback has returned before any
-        // teardown: a late callback touches options_, the encoded
-        // cache, per-reactor counters and queues, and a wake pipe fd.
+        // teardown: a late callback touches options_, per-reactor
+        // counters and queues, and a wake pipe fd.
         {
             std::unique_lock<std::mutex> lock(callback_mutex_);
             callback_idle_.wait(
@@ -664,18 +667,25 @@ StrategyServer::serveRequest(Reactor &reactor, std::uint64_t id,
     }
 
     // --- reactor fast path -------------------------------------------
-    // A pre-encoded frame for this digest at the *current* model epoch
-    // is served straight off the loop: wait-free lookup, one buffer
-    // append, no worker hop.  Deliberately after the ownership and
-    // chip checks (identical refusal semantics either path) and gated
-    // on the same conditions under which the worker path may answer
-    // ExactHit — replica reads and cache-bypass requests always take
-    // the worker path.  Exact hits are served even past the client's
-    // deadline, exactly like the worker path.
+    // A cache entry for this digest that the worker path would answer
+    // as an exact hit is served straight off the loop: wait-free
+    // lookup, one buffer append, no worker hop.  Deliberately after
+    // the ownership and chip checks (identical refusal semantics
+    // either path) and gated on the same conditions under which the
+    // worker path may answer ExactHit — replica reads and cache-bypass
+    // requests always take the worker path.  Exact hits are served
+    // even past the client's deadline, exactly like the worker path.
     if (options_.fast_exact_hits && request.use_cache
         && !request.serve_replica) {
-        if (auto frame = encoded_.find(reactor.cache_reader, digest,
-                                       service_.modelEpoch())) {
+        std::shared_ptr<const std::string> frame;
+        try {
+            frame = service_.exactHitFrame(reactor.cache_reader, digest,
+                                           encode_hit_);
+        } catch (const WireError &) {
+            // An entry over the encoder caps never joins the fast
+            // path; the worker path answers it.
+        }
+        if (frame) {
             bump(reactor.counters.fast_path_hits);
             bump(reactor.counters.responses_ok);
             conn.write_buffer += *frame;
@@ -694,12 +704,6 @@ StrategyServer::serveRequest(Reactor &reactor, std::uint64_t id,
     service_request.serve_replica = request.serve_replica;
     service_request.deadline_seconds = request.deadline_ms / 1000.0;
 
-    // Whether this completion may publish a fast-path frame: only
-    // answers the worker path could itself later serve as exact hits.
-    bool populate_fast_path = options_.fast_exact_hits
-                              && request.use_cache
-                              && !request.serve_replica;
-
     // Counted before the submit attempt so stop() can never observe a
     // window where an admitted callback is neither counted nor done.
     {
@@ -709,7 +713,7 @@ StrategyServer::serveRequest(Reactor &reactor, std::uint64_t id,
     Reactor *home = &reactor;
     serve::RejectReason reject = service_.trySubmit(
         std::move(service_request),
-        [this, home, id, populate_fast_path](
+        [this, home, id](
             serve::StrategyResponse response,
             std::exception_ptr error) {
             // Worker thread: encode off the loop, enqueue, wake.
@@ -759,23 +763,6 @@ StrategyServer::serveRequest(Reactor &reactor, std::uint64_t id,
             }
             if (wire.status == Status::Ok) {
                 bump(home->counters.responses_ok);
-                // Publish the exact-hit frame this answer's cache
-                // entry would produce, keyed by the epoch the entry
-                // was computed under: the next identical request is
-                // served on the loop.  A frame over the encoder caps
-                // just never joins the fast path.
-                if (populate_fast_path) {
-                    try {
-                        encoded_.insert(
-                            wire.fingerprint_digest,
-                            response.fingerprint.model_epoch,
-                            encodeExactHitFrame(
-                                wire, full_generations_,
-                                response.fingerprint.model_epoch,
-                                options_.limits));
-                    } catch (const WireError &) {
-                    }
-                }
             } else if (wire.status == Status::Busy) {
                 bump(home->counters.responses_busy);
                 bump(home->counters.responses_expired);
@@ -910,11 +897,9 @@ StrategyServer::serveEpochInvalidate(Reactor &reactor, std::uint64_t id,
     // Raise *before* the ack goes out: once the origin shard has our
     // ack, no request on this shard can see a pre-epoch exact hit —
     // the coherence guarantee the broadcast blocks for.  The raised
-    // epoch gates the fast path too (find() checks epoch equality);
-    // dropping the stale frames afterwards is purely memory hygiene.
+    // epoch gates the fast path too (every hit checks epoch equality).
     std::uint64_t epoch =
         service_.raiseModelEpoch(invalidate.model_epoch);
-    encoded_.invalidateBelow(epoch);
     bump(reactor.counters.epoch_invalidates_received);
     EpochInvalidateAck ack;
     ack.shard_id = options_.shard_id;
@@ -948,8 +933,8 @@ StrategyServer::servePeerReplicate(Reactor &reactor, std::uint64_t id,
     }
     conn.payload_error_streak = 0;
 
-    // Import through the peer-donor path: the copy lands
-    // warm_start_only, so it can serve failover reads and similarity
+    // Import through the peer-donor path: the copy lands as a Donor
+    // entry, so it can serve failover reads and similarity
     // lookups but never shadows an entry this shard owns.  A cache
     // insert is cheap enough for the event loop.
     PeerReplicateAck ack;
@@ -1065,10 +1050,8 @@ StrategyServer::serveAdminLine(Reactor &reactor, Connection &conn)
             // this reactor is deliberate — recalibration is rare and
             // the broadcast deadline bounds the stall.  The epoch
             // advance gates the fast path on every reactor at once
-            // (each hit re-checks the epoch); the invalidateBelow only
-            // reclaims the stale frames' memory.
+            // (each hit re-checks the epoch).
             std::uint64_t epoch = service_.advanceModelEpoch();
-            encoded_.invalidateBelow(epoch);
             ShardPeers::InvalidateResult broadcast;
             if (options_.peers)
                 broadcast =
@@ -1227,7 +1210,6 @@ StrategyServer::statsText() const
        << "frames_in " << server.frames_in << '\n'
        << "fast_path_hits " << server.fast_path_hits << '\n'
        << "fast_path_misses " << server.fast_path_misses << '\n'
-       << "encoded_cache_size " << encoded_.size() << '\n'
        << "responses_ok " << server.responses_ok << '\n'
        << "responses_busy " << server.responses_busy << '\n'
        << "responses_expired " << server.responses_expired << '\n'

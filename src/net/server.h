@@ -18,18 +18,22 @@
  * SO_REUSEPORT listener and the kernel spreads connections by flow
  * hash (no handoff hop, preferred for benchmarks).
  *
- * Exact cache hits are served directly on the reactor: every Ok
- * worker-path completion publishes a pre-encoded exact-hit frame into
- * an RCU-read EncodedResponseCache (serve/encoded_cache.h), so a
- * repeat request is fingerprint -> wait-free lookup -> send, with no
- * worker hop, no completion-queue round trip, no lock and no
+ * Exact cache hits are served directly on the reactor from the
+ * service's one strategy cache (serve/strategy_cache.h): each reactor
+ * holds a wait-free reader slot on the cache's RCU index, and each
+ * cache entry carries its own exact-hit wire frame, encoded by the
+ * first reactor that serves the entry.  A repeat request is
+ * fingerprint -> wait-free lookup -> send, with no worker hop, no
+ * completion-queue round trip, no lock and, after the first hit, no
  * re-encode (the frame's CRC is computed once and reused verbatim).
  * A fast-path hit is byte-identical to the worker path's exact-hit
  * response except `service_seconds`, which it pins to 0.0 (no
- * service time is spent).  The frame is served only when its model
- * epoch equals the service's current epoch, so a recalibration
- * instantly gates every pre-epoch frame; misses fall through to the
- * StrategyService admission path unchanged.
+ * service time is spent).  An entry is served only when the worker
+ * path would answer it as an exact hit: not a donor, and computed at
+ * the service's current model epoch, so a recalibration instantly
+ * gates every pre-epoch entry.  An upgrade or recompute inserts a new
+ * entry, so there is nothing to invalidate.  Misses fall through to
+ * the StrategyService admission path unchanged.
  *
  * Backpressure is structured end to end: when the service's admission
  * queue is full (or the service is draining) the request is answered
@@ -86,7 +90,6 @@
 #include "net/health.h"
 #include "net/peer.h"
 #include "net/wire.h"
-#include "serve/encoded_cache.h"
 #include "serve/service.h"
 #include "shard/shard_map.h"
 
@@ -111,14 +114,12 @@ struct ServerOptions
      */
     bool reuse_port = false;
     /**
-     * Serve exact cache hits directly on the reactor from pre-encoded
-     * frames (see the file comment).  Off: every request takes the
-     * worker path (the pre-fast-path behaviour, kept as a bench
-     * baseline and an escape hatch).
+     * Serve exact cache hits directly on the reactor from the cache
+     * entries' exact-hit frames (see the file comment).  Off: every
+     * request takes the worker path (the pre-fast-path behaviour, kept
+     * as a bench baseline and an escape hatch).
      */
     bool fast_exact_hits = true;
-    /** Pre-encoded frames kept for the fast path (FIFO eviction). */
-    std::size_t encoded_cache_capacity = 1024;
     /** Accepted connections beyond this (across all reactors) are
      *  closed immediately. */
     std::size_t max_connections = 64;
@@ -205,7 +206,7 @@ struct ServerStats
     std::uint64_t connections_refused = 0;
     std::uint64_t connections_reaped = 0;
     std::uint64_t frames_in = 0;
-    /** Exact hits served on a reactor from a pre-encoded frame
+    /** Exact hits served on a reactor from a cache entry's frame
      *  (subset of responses_ok; these never reach the service, so
      *  they appear in no service_* counter). */
     std::uint64_t fast_path_hits = 0;
@@ -238,20 +239,25 @@ struct ServerStats
 };
 
 /**
- * The pre-encoded frame the reactor fast path serves for a cached
- * entry: byte-for-byte what the worker path encodes for an exact hit
- * on that entry, with `service_seconds` pinned to 0.0.  Built from
- * any Ok worker-path response (@p ok) for a cache-eligible request:
+ * The frame the reactor fast path serves for a cached entry:
+ * byte-for-byte what the worker path encodes for an exact hit on that
+ * entry, with `service_seconds` pinned to 0.0.  Built from any Ok
+ * worker-path response (@p ok) for a cache-eligible request:
  * provenance becomes ExactHit, generations_run 0, generations_saved
  * the full GA budget, similarity 0, and the model epoch is stamped
- * from the cache entry so an epoch-equality check gates staleness.
- * Exposed so tests and the RCU property suite can rebuild the frame
- * independently (the re-encode identity oracle).
+ * from the cache entry.  Exposed so tests and benches can rebuild the
+ * frame from a reply they received (the re-encode identity oracle).
  * @throws WireError when the response exceeds the encoder caps.
  */
 std::string encodeExactHitFrame(const WireResponse &ok,
                                 std::uint32_t full_generations,
                                 std::uint64_t entry_model_epoch,
+                                const WireLimits &limits);
+
+/** The same frame built straight from the cache entry — what the
+ *  first reactor to serve @p entry installs on it. */
+std::string encodeExactHitFrame(const serve::CacheEntry &entry,
+                                std::uint32_t full_generations,
                                 const WireLimits &limits);
 
 /**
@@ -355,7 +361,7 @@ class StrategyServer
         /** Sockets accepted by reactor 0 awaiting adoption here. */
         std::mutex handoff_mutex;
         std::deque<int> handoff;
-        /** This reactor's slot in the RCU encoded cache. */
+        /** This reactor's reader slot on the service's cache. */
         std::size_t cache_reader = 0;
         ReactorCounters counters;
     };
@@ -398,9 +404,11 @@ class StrategyServer
     ServerOptions options_;
     /** The serving chip's canonical block; requests must match it. */
     std::string chip_block_;
-    /** The full GA budget an exact hit saves (pre-encoded frames
-     *  report it as generations_saved, like the worker path). */
+    /** The full GA budget an exact hit saves (fast-path frames report
+     *  it as generations_saved, like the worker path). */
     std::uint32_t full_generations_ = 0;
+    /** Builds a cache entry's exact-hit frame for the fast path. */
+    serve::StrategyCache::FrameEncoder encode_hit_;
 
     std::uint16_t bound_port_ = 0;
     /** Loop-clock timestamp of start(); statsText reports uptime. */
@@ -418,10 +426,6 @@ class StrategyServer
     /** Open connections across all reactors (max_connections is a
      *  global bound). */
     std::atomic<std::size_t> total_open_{0};
-
-    /** Pre-encoded exact-hit frames, RCU-read by every reactor,
-     *  populated by worker completions. */
-    serve::EncodedResponseCache encoded_;
 
     /**
      * Completion callbacks handed to the service and not yet returned.

@@ -303,7 +303,7 @@ struct EpochInvalidateAck
 
 /**
  * An owner pushing one cache entry to a ring successor.  The
- * successor imports it exactly as a peer donor (warm_start_only), so
+ * successor imports it exactly as a peer donor (a Donor entry), so
  * a replica can never shadow an owned exact hit; it additionally
  * becomes servable as a degraded answer when a failover request
  * carries the serve_replica flag.

@@ -21,9 +21,8 @@ ReadIndex::registerReader()
     return slot;
 }
 
-std::shared_ptr<const std::string>
-ReadIndex::lookup(std::size_t reader, std::uint64_t digest,
-                  std::uint64_t model_epoch)
+std::shared_ptr<const StoredEntry>
+ReadIndex::lookup(std::size_t reader, std::uint64_t digest)
 {
     ReaderSlot &slot = slots_[reader];
     // Pin first, then load the pointer: seq_cst on the pin store, the
@@ -35,13 +34,12 @@ ReadIndex::lookup(std::size_t reader, std::uint64_t digest,
     slot.pin.store(epoch, std::memory_order_seq_cst);
     const ReadSnapshot *snapshot =
         current_.load(std::memory_order_seq_cst);
-    std::shared_ptr<const std::string> frame;
-    auto it = snapshot->by_digest.find(digest);
-    if (it != snapshot->by_digest.end()
-        && it->second.model_epoch == model_epoch)
-        frame = it->second.frame; // ref taken while pinned: outlives us
+    std::shared_ptr<const StoredEntry> entry;
+    auto it = snapshot->find(digest);
+    if (it != snapshot->end())
+        entry = it->second; // ref taken while pinned: outlives us
     slot.pin.store(0, std::memory_order_release);
-    return frame;
+    return entry;
 }
 
 void
@@ -54,14 +52,6 @@ ReadIndex::publish(std::shared_ptr<const ReadSnapshot> next)
         global_epoch_.fetch_add(1, std::memory_order_seq_cst) + 1;
     retired_.push_back({std::move(current_owner_), retire_epoch});
     current_owner_ = std::move(next);
-    ++publishes_;
-    reclaimLocked();
-}
-
-void
-ReadIndex::reclaim()
-{
-    std::lock_guard<std::mutex> lock(writer_mutex_);
     reclaimLocked();
 }
 
@@ -83,29 +73,7 @@ ReadIndex::reclaimLocked()
     };
     auto kept = std::stable_partition(retired_.begin(), retired_.end(),
                                       still_held);
-    reclaimed_ += static_cast<std::uint64_t>(
-        std::distance(kept, retired_.end()));
     retired_.erase(kept, retired_.end());
-}
-
-std::shared_ptr<const ReadSnapshot>
-ReadIndex::writerSnapshot() const
-{
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    return current_owner_;
-}
-
-std::size_t
-ReadIndex::size() const
-{
-    return writerSnapshot()->by_digest.size();
-}
-
-std::uint64_t
-ReadIndex::publishes() const
-{
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    return publishes_;
 }
 
 std::size_t
@@ -113,13 +81,6 @@ ReadIndex::retiredSnapshots() const
 {
     std::lock_guard<std::mutex> lock(writer_mutex_);
     return retired_.size();
-}
-
-std::uint64_t
-ReadIndex::reclaimedSnapshots() const
-{
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    return reclaimed_;
 }
 
 } // namespace opdvfs::serve

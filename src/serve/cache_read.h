@@ -2,12 +2,12 @@
  * @file
  * Epoch-based RCU read path for the serving cache.
  *
- * The strategy cache proper (strategy_cache.h) is sharded behind
- * mutexes — fine for GA workers that hold a result for milliseconds,
+ * The strategy cache proper (strategy_cache.h) keeps its LRU behind a
+ * mutex — fine for GA workers that hold a result for milliseconds,
  * fatal for a reactor thread that wants to answer an exact hit in a
  * few microseconds without ever blocking.  ReadIndex gives reactors a
- * wait-free read path: the writer builds a fully immutable snapshot
- * (digest -> pre-encoded entry), publishes it with one atomic pointer
+ * wait-free read path: every cache write builds a fully immutable
+ * snapshot (digest -> entry), publishes it with one atomic pointer
  * store, and readers dereference the current snapshot without taking
  * any lock.
  *
@@ -36,33 +36,16 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace opdvfs::serve {
 
-/** One pre-encoded exact-hit entry visible to reactor readers. */
-struct ReadEntry
-{
-    /** Model epoch the entry was computed under; an entry is served
-     *  only when this equals the service's current epoch, so a
-     *  recalibration instantly gates every stale entry without a
-     *  republish. */
-    std::uint64_t model_epoch = 0;
-    /** Immutable pre-encoded response frame (opaque to this layer).
-     *  Shared so a returned frame outlives the snapshot it came
-     *  from. */
-    std::shared_ptr<const std::string> frame;
-};
+struct StoredEntry; // strategy_cache.h
 
 /** An immutable published generation of the index. */
-struct ReadSnapshot
-{
-    std::unordered_map<std::uint64_t, ReadEntry> by_digest;
-    /** Monotonic publish generation (introspection/tests). */
-    std::uint64_t version = 0;
-};
+using ReadSnapshot =
+    std::unordered_map<std::uint64_t, std::shared_ptr<const StoredEntry>>;
 
 /**
  * Atomically-published immutable digest index with epoch-based
@@ -89,15 +72,14 @@ class ReadIndex
     std::size_t registerReader();
 
     /**
-     * Wait-free exact lookup: returns the entry's frame when @p digest
-     * is present at exactly @p model_epoch, null otherwise.  Never
-     * takes a lock; never returns an entry from a different epoch.
-     * @p reader must be a slot returned by registerReader() and used
-     * by one thread at a time.
+     * Wait-free exact lookup: the entry published for @p digest, or
+     * null.  Never takes a lock.  The reference is taken while pinned,
+     * so the entry outlives the snapshot it came from.  @p reader must
+     * be a slot returned by registerReader() and used by one thread at
+     * a time.
      */
-    std::shared_ptr<const std::string> lookup(std::size_t reader,
-                                              std::uint64_t digest,
-                                              std::uint64_t model_epoch);
+    std::shared_ptr<const StoredEntry> lookup(std::size_t reader,
+                                              std::uint64_t digest);
 
     /**
      * Publish @p next as the current snapshot and retire the previous
@@ -106,28 +88,10 @@ class ReadIndex
      */
     void publish(std::shared_ptr<const ReadSnapshot> next);
 
-    /**
-     * The current snapshot for copy-on-write mutation by the writer.
-     * Callers building the successor snapshot must serialize among
-     * themselves (EncodedResponseCache holds its own writer mutex).
-     */
-    std::shared_ptr<const ReadSnapshot> writerSnapshot() const;
-
-    /** Entries in the current snapshot (unpinned size probe). */
-    std::size_t size() const;
-
-    /** Opportunistically free retired snapshots no reader can still
-     *  hold.  publish() does this automatically; call between
-     *  publishes to release memory once readers quiesce. */
-    void reclaim();
-
-    /** Total publish() calls. */
-    std::uint64_t publishes() const;
-    /** Retired snapshots not yet reclaimed (bounded by slow readers;
-     *  0 when all readers are quiescent after a publish). */
+    /** Retired snapshots not yet freed.  Every publish frees those no
+     *  reader can still hold, so this is bounded by slow readers and
+     *  0 after a publish that found every reader quiescent. */
     std::size_t retiredSnapshots() const;
-    /** Retired snapshots freed so far. */
-    std::uint64_t reclaimedSnapshots() const;
 
   private:
     struct alignas(64) ReaderSlot
@@ -159,8 +123,6 @@ class ReadIndex
     mutable std::mutex writer_mutex_;
     std::shared_ptr<const ReadSnapshot> current_owner_;
     std::vector<Retired> retired_;
-    std::uint64_t publishes_ = 0;
-    std::uint64_t reclaimed_ = 0;
 };
 
 } // namespace opdvfs::serve

@@ -157,7 +157,8 @@ encodeCacheEntry(const CacheEntry &entry, std::ostream &os)
     os << "epoch " << entry.fingerprint.model_epoch << '\n';
     os << "loss " << entry.perf_loss_target << '\n';
     os << "score " << entry.ga.best_score << '\n';
-    os << "donor " << (entry.warm_start_only ? 1 : 0) << '\n';
+    os << "donor " << (entry.kind == CacheEntry::Kind::Donor ? 1 : 0)
+       << '\n';
     writeDoublesRecord(os, "features", entry.fingerprint.features,
                        kMaxFeatures);
     writeDoublesRecord(os, "mhz", entry.ga.best_mhz, kMaxStages);
@@ -227,7 +228,8 @@ decodeCacheEntry(std::istream &is)
         if (!(fields >> donor) || (donor != 0 && donor != 1)
             || !(fields >> std::ws).eof())
             throw std::invalid_argument("cache_store: bad donor record");
-        entry.warm_start_only = donor == 1;
+        if (donor == 1)
+            entry.kind = CacheEntry::Kind::Donor;
     }
     entry.fingerprint.features = parseDoublesRecord(
         needLine(is, "features"), "features", kMaxFeatures);

@@ -114,8 +114,8 @@ class RequestExpired : public std::runtime_error
 /**
  * A warm-start donor obtained from a peer shard.  Carries everything
  * needed both to seed the GA (`best_mhz`) and to import the strategy
- * into the local cache as a `warm_start_only` entry so later similar
- * requests find it without another peer round-trip.
+ * into the local cache as a Donor entry so later similar requests
+ * find it without another peer round-trip.
  */
 struct PeerDonor
 {
@@ -250,8 +250,8 @@ struct StrategyRequest
     /**
      * Failover read: the caller knows this shard is not the owner and
      * accepts a degraded answer from the replica set.  An exact-digest
-     * replica (including `warm_start_only` entries) at the current
-     * model epoch is served as a WarmStart; otherwise the request
+     * replica (including Donor entries) at the current model epoch is
+     * served as a WarmStart; otherwise the request
      * computes locally.  Never set on the normal owner path.
      */
     bool serve_replica = false;
@@ -440,9 +440,9 @@ class StrategyService
 
     /**
      * Probe the local cache for a donor on behalf of a peer shard.
-     * Only entries this shard generated itself are exported
-     * (`warm_start_only` imports are skipped: relaying second-hand
-     * copies would let a donor hop shard to shard unboundedly).
+     * Donor imports are skipped (relaying second-hand copies would let
+     * a donor hop shard to shard unboundedly); owned and predicted
+     * entries are exported.
      * Returns the best entry reaching the service's warm similarity
      * threshold within the loss-target tolerance.
      */
@@ -450,9 +450,9 @@ class StrategyService
                                           double perf_loss_target);
 
     /**
-     * Insert a peer-supplied strategy as a `warm_start_only` cache
-     * entry: visible to similarity lookups, invisible to exact-hit
-     * lookups, and never replacing an owned entry.
+     * Insert a peer-supplied strategy as a Donor cache entry: visible
+     * to similarity lookups, invisible to exact-hit lookups (worker
+     * and reactor alike), and never replacing a non-donor entry.
      */
     void importDonor(const PeerDonor &donor);
 
@@ -467,10 +467,11 @@ class StrategyService
     /**
      * Install (or clear) the refine-upgrade listener: fires with the
      * entry's digest after an async refinement replaced a predicted
-     * cache entry with a better searched one.  The network front end
-     * uses it to drop the pre-encoded predicted frame so the next
-     * exact hit serves the refined strategy.  Runs on the worker
-     * thread that finished the refinement; must be cheap.
+     * cache entry with a better searched one.  Observation only —
+     * the refined entry already serves every path, the reactor fast
+     * path included, when it fires; benches use it to time
+     * refinements.  Runs on the worker thread that finished the
+     * refinement; must be cheap.
      */
     void setUpgradeListener(std::function<void(std::uint64_t)> listener);
 
@@ -486,15 +487,36 @@ class StrategyService
 
     /**
      * Rehydrate the cache from persisted entries (snapshot + WAL
-     * replay at startup).  Entries keep their persisted
-     * `warm_start_only` flags — owned entries stay exact-hittable
-     * after a restart — and the model epoch is raised to the highest
+     * replay at startup).  Entries keep their persisted kind — owned
+     * entries stay exact-hittable after a restart, on the reactor
+     * fast path too — and the model epoch is raised to the highest
      * epoch seen, so a restored shard never serves pre-crash entries
      * the fleet has since invalidated as exact hits.  Does not fire
      * the insert listener (restored entries are already persisted).
      * Returns the number of entries inserted.
      */
     std::size_t restoreEntries(std::vector<CacheEntry> entries);
+
+    /** Claim a reactor's wait-free reader slot on the cache (at most
+     *  ReadIndex::kMaxReaders per service). */
+    std::size_t registerCacheReader() { return cache_.registerReader(); }
+
+    /**
+     * The reactor fast path: @p digest's exact-hit frame when the
+     * cache holds an entry the worker path would answer as an exact
+     * hit right now (not a Donor, computed at the current model
+     * epoch), null otherwise.  Wait-free, counted in no service
+     * statistic, and leaves LRU recency alone; see
+     * StrategyCache::exactHitFrame.
+     */
+    std::shared_ptr<const std::string>
+    exactHitFrame(std::size_t reader, std::uint64_t digest,
+                  const StrategyCache::FrameEncoder &encode)
+    {
+        return cache_.exactHitFrame(
+            reader, digest, model_epoch_.load(std::memory_order_acquire),
+            encode);
+    }
 
     const ServiceOptions &options() const { return options_; }
 

@@ -8,7 +8,7 @@ namespace opdvfs::serve {
 
 StrategyCache::StrategyCache(const Options &options)
     : loss_target_tolerance_(options.loss_target_tolerance),
-      shards_(options.shards == 0 ? 1 : options.shards)
+      capacity_(options.capacity)
 {
     if (options.capacity == 0)
         throw std::invalid_argument("StrategyCache: zero capacity");
@@ -16,53 +16,50 @@ StrategyCache::StrategyCache(const Options &options)
         || options.loss_target_tolerance < 0.0)
         throw std::invalid_argument(
             "StrategyCache: negative loss_target_tolerance");
-    per_shard_capacity_ =
-        (options.capacity + shards_.size() - 1) / shards_.size();
 }
 
-StrategyCache::Shard &
-StrategyCache::shardFor(std::uint64_t digest)
+const CacheEntry *
+StrategyCache::touchLocked(std::uint64_t digest, bool donors)
 {
-    // The digest is FNV-mixed already; its low bits partition well.
-    return shards_[digest % shards_.size()];
+    auto found = by_digest_.find(digest);
+    if (found == by_digest_.end())
+        return nullptr;
+    const CacheEntry &entry = (*found->second)->entry;
+    if (!donors && entry.kind == CacheEntry::Kind::Donor)
+        return nullptr;
+    entries_.splice(entries_.begin(), entries_, found->second);
+    return &entry;
 }
 
 std::optional<CacheEntry>
 StrategyCache::findExact(std::uint64_t digest)
 {
-    Shard &shard = shardFor(digest);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto found = shard.by_digest.find(digest);
-    if (found == shard.by_digest.end() || found->second->warm_start_only)
-        return std::nullopt;
-    shard.entries.splice(shard.entries.begin(), shard.entries,
-                         found->second);
-    return *found->second;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const CacheEntry *entry = touchLocked(digest, false))
+        return *entry;
+    return std::nullopt;
 }
 
 std::optional<CacheEntry>
 StrategyCache::findReplica(std::uint64_t digest)
 {
-    Shard &shard = shardFor(digest);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto found = shard.by_digest.find(digest);
-    if (found == shard.by_digest.end())
-        return std::nullopt;
-    shard.entries.splice(shard.entries.begin(), shard.entries,
-                         found->second);
-    return *found->second;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const CacheEntry *entry = touchLocked(digest, true))
+        return *entry;
+    return std::nullopt;
 }
 
 bool
 StrategyCache::containsFresh(std::uint64_t digest,
                              std::uint64_t model_epoch)
 {
-    Shard &shard = shardFor(digest);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto found = shard.by_digest.find(digest);
-    if (found == shard.by_digest.end() || found->second->warm_start_only)
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto found = by_digest_.find(digest);
+    if (found == by_digest_.end())
         return false;
-    return found->second->fingerprint.model_epoch == model_epoch;
+    const CacheEntry &entry = (*found->second)->entry;
+    return entry.kind != CacheEntry::Kind::Donor
+           && entry.fingerprint.model_epoch == model_epoch;
 }
 
 std::optional<SimilarHit>
@@ -84,11 +81,12 @@ StrategyCache::findSimilar(const Fingerprint &probe, double min_similarity,
     // arithmetic is skipped.
     std::optional<SimilarHit> best;
     double best_squared = std::numeric_limits<double>::infinity();
-    for (Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        for (const CacheEntry &entry : shard.entries) {
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const auto &stored : entries_) {
+            const CacheEntry &entry = stored->entry;
             ++scanned;
-            if (owned_only && entry.warm_start_only)
+            if (owned_only && entry.kind == CacheEntry::Kind::Donor)
                 continue;
             if (loss_target
                 && std::abs(entry.perf_loss_target - *loss_target)
@@ -142,45 +140,74 @@ StrategyCache::scanCounters() const
 void
 StrategyCache::insert(CacheEntry entry)
 {
-    Shard &shard = shardFor(entry.fingerprint.digest);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto found = shard.by_digest.find(entry.fingerprint.digest);
-    if (found != shard.by_digest.end()) {
-        if (entry.warm_start_only && !found->second->warm_start_only)
-            return; // never shadow an owned result with a donor copy
-        shard.entries.erase(found->second);
-        shard.by_digest.erase(found);
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto found = by_digest_.find(entry.fingerprint.digest);
+    if (found != by_digest_.end()) {
+        if (entry.kind == CacheEntry::Kind::Donor
+            && (*found->second)->entry.kind != CacheEntry::Kind::Donor)
+            return; // never shadow a served result with a donor copy
+        entries_.erase(found->second);
+        by_digest_.erase(found);
     }
-    shard.entries.push_front(std::move(entry));
-    shard.by_digest[shard.entries.front().fingerprint.digest] =
-        shard.entries.begin();
-    while (shard.entries.size() > per_shard_capacity_) {
-        shard.by_digest.erase(shard.entries.back().fingerprint.digest);
-        shard.entries.pop_back();
+    entries_.push_front(std::make_shared<const StoredEntry>(std::move(entry)));
+    by_digest_[entries_.front()->entry.fingerprint.digest] =
+        entries_.begin();
+    while (entries_.size() > capacity_) {
+        by_digest_.erase(entries_.back()->entry.fingerprint.digest);
+        entries_.pop_back();
     }
+    publishLocked();
+}
+
+void
+StrategyCache::publishLocked()
+{
+    auto next = std::make_shared<ReadSnapshot>();
+    next->reserve(entries_.size());
+    for (const auto &stored : entries_)
+        next->emplace(stored->entry.fingerprint.digest, stored);
+    index_.publish(std::move(next));
 }
 
 std::size_t
 StrategyCache::size() const
 {
-    std::size_t total = 0;
-    for (const Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        total += shard.entries.size();
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entries_.size();
 }
 
 std::vector<CacheEntry>
 StrategyCache::snapshotEntries() const
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<CacheEntry> entries;
-    for (const Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        for (const CacheEntry &entry : shard.entries)
-            entries.push_back(entry);
-    }
+    entries.reserve(entries_.size());
+    for (const auto &stored : entries_)
+        entries.push_back(stored->entry);
     return entries;
+}
+
+std::shared_ptr<const std::string>
+StrategyCache::exactHitFrame(std::size_t reader, std::uint64_t digest,
+                             std::uint64_t model_epoch,
+                             const FrameEncoder &encode)
+{
+    std::shared_ptr<const StoredEntry> stored = index_.lookup(reader, digest);
+    if (!stored || stored->entry.kind == CacheEntry::Kind::Donor
+        || stored->entry.fingerprint.model_epoch != model_epoch)
+        return nullptr;
+    const std::string *frame = stored->frame.load(std::memory_order_acquire);
+    if (!frame) {
+        auto fresh =
+            std::make_unique<const std::string>(encode(stored->entry));
+        if (stored->frame.compare_exchange_strong(
+                frame, fresh.get(), std::memory_order_acq_rel,
+                std::memory_order_acquire))
+            frame = fresh.release();
+        // else `frame` now holds the winner's copy; ours is dropped.
+    }
+    // Aliasing: the frame lives exactly as long as its entry.
+    return std::shared_ptr<const std::string>(std::move(stored), frame);
 }
 
 } // namespace opdvfs::serve

@@ -321,7 +321,6 @@ hashSettledRefinement(const npu::MemorySystem &memory,
     options.pipeline.constants = constants;
     options.workers = 2;
     options.cache.capacity = 32;
-    options.cache.shards = 4;
     options.surrogate = std::make_shared<tune::Surrogate>(surrogate);
     options.predict_first = true;
     options.refine_generation_fraction = 0.5;

@@ -72,7 +72,6 @@ fastOptions(std::size_t workers)
     options.pipeline.constants = constants();
     options.workers = workers;
     options.cache.capacity = 32;
-    options.cache.shards = 4;
     return options;
 }
 

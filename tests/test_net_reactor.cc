@@ -9,6 +9,12 @@
  * holding per reactor.  Everything runs in accept-and-distribute mode
  * (connection k lands on reactor k mod N) so distribution assertions
  * are exact, plus one SO_REUSEPORT smoke case where the kernel picks.
+ *
+ * The fast path serves straight from the service's cache, so its
+ * answer follows the cache entry: a refined first contact is answered
+ * with the refinement, a restored entry is on the loop from the first
+ * request, a donor import never is, and the server leaves the
+ * service's upgrade listener alone.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +24,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <bit>
 #include <chrono>
 #include <sstream>
 #include <string>
@@ -28,19 +36,20 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "power/offline_calibration.h"
+#include "tune/surrogate.h"
 
 namespace opdvfs::net {
 namespace {
 
 models::Workload
-testWorkload(int seq)
+testWorkload(int seq, int hidden = 1024)
 {
     npu::NpuConfig chip;
     npu::MemorySystem memory(chip.memory);
     models::TransformerConfig model;
     model.name = "reactor-test";
     model.layers = 2;
-    model.hidden = 1024;
+    model.hidden = hidden;
     model.heads = 8;
     model.seq = seq;
     return models::buildTransformerTraining(memory, model, 5);
@@ -66,7 +75,26 @@ fastOptions(std::size_t workers)
     options.pipeline.constants = constants();
     options.workers = workers;
     options.cache.capacity = 32;
-    options.cache.shards = 4;
+    return options;
+}
+
+/**
+ * The suites' predict-first service (test_golden_run's predict+refine
+ * row): a surrogate that fits from its first row, refinements at half
+ * the GA budget.
+ */
+serve::ServiceOptions
+predictFirstOptions()
+{
+    tune::SurrogateOptions surrogate;
+    surrogate.min_rows = 1;
+    surrogate.refit_interval_rows = 1;
+    surrogate.boost_rounds = 6;
+    surrogate.quantile_cuts = 4;
+    serve::ServiceOptions options = fastOptions(2);
+    options.surrogate = std::make_shared<tune::Surrogate>(surrogate);
+    options.predict_first = true;
+    options.refine_generation_fraction = 0.5;
     return options;
 }
 
@@ -77,6 +105,44 @@ testWireRequest(int seq, std::uint64_t seed)
     request.workload = testWorkload(seq);
     request.seed = seed;
     return request;
+}
+
+serve::StrategyRequest
+serviceRequest(const WireRequest &request)
+{
+    serve::StrategyRequest direct;
+    direct.workload = request.workload;
+    direct.perf_loss_target = request.perf_loss_target;
+    direct.seed = request.seed;
+    return direct;
+}
+
+/**
+ * Train @p service's surrogate with one cold search, then send six
+ * never-seen first contacts over the wire one after another and wait
+ * for their refinements.  Returns the contacts.
+ */
+std::vector<WireRequest>
+sendFirstContacts(serve::StrategyService &service, std::uint16_t port)
+{
+    serve::StrategyRequest trainer;
+    trainer.workload = testWorkload(256);
+    trainer.seed = 3;
+    service.submit(trainer).get();
+
+    const double targets[] = {0.02, 0.04, 0.06};
+    std::vector<WireRequest> contacts;
+    StrategyClient client("127.0.0.1", port);
+    for (int i = 0; i < 6; ++i) {
+        WireRequest request;
+        request.workload = testWorkload(300 + 8 * i, 768);
+        request.seed = static_cast<std::uint64_t>(5 + i);
+        request.perf_loss_target = targets[i % 3];
+        EXPECT_EQ(client.call(request).status, Status::Ok);
+        contacts.push_back(std::move(request));
+    }
+    service.waitForRefines();
+    return contacts;
 }
 
 int
@@ -130,11 +196,8 @@ std::string
 groundTruthHitFrame(serve::StrategyService &service,
                     const WireRequest &request)
 {
-    serve::StrategyRequest direct;
-    direct.workload = request.workload;
-    direct.perf_loss_target = request.perf_loss_target;
-    direct.seed = request.seed;
-    serve::StrategyResponse local = service.submit(direct).get();
+    serve::StrategyResponse local =
+        service.submit(serviceRequest(request)).get();
     EXPECT_EQ(local.provenance, serve::Provenance::ExactHit);
     WireResponse wire;
     wire.status = Status::Ok;
@@ -160,8 +223,8 @@ TEST(NetReactor, ExactHitsFromEveryReactorAreByteIdentical)
     StrategyServer server(service, server_options);
     server.start();
 
-    // Prime two workloads through the worker path; the completions
-    // publish the pre-encoded frames.
+    // Prime two workloads through the worker path; their cache entries
+    // get their frames from the first fast-path hit below.
     std::vector<WireRequest> requests = {testWireRequest(256, 3),
                                          testWireRequest(384, 3)};
     {
@@ -385,6 +448,111 @@ TEST(NetReactor, ReusePortModeServesColdAndHit)
     EXPECT_EQ(client.call(request).provenance,
               serve::Provenance::ExactHit);
     EXPECT_EQ(server.stats().responses_ok, 2u);
+    server.stop();
+}
+
+TEST(NetReactor, RefinedFirstContactsAreAnsweredRefinedOnTheWire)
+{
+    serve::StrategyService service(predictFirstOptions());
+    StrategyServer server(service, ServerOptions{});
+    server.start();
+    std::vector<WireRequest> contacts =
+        sendFirstContacts(service, server.port());
+    ASSERT_GT(service.stats().refine_upgrades, 0u);
+
+    // Once the refinements settled, the wire answer is whatever the
+    // cache holds — the refined strategy for every upgraded digest,
+    // never the prediction it replaced — exactly as in-process.
+    StrategyClient client("127.0.0.1", server.port());
+    for (std::size_t i = 0; i < contacts.size(); ++i) {
+        WireResponse wire = client.call(contacts[i]);
+        serve::StrategyResponse local =
+            service.submit(serviceRequest(contacts[i])).get();
+        ASSERT_EQ(wire.status, Status::Ok);
+        ASSERT_EQ(local.provenance, serve::Provenance::ExactHit);
+        EXPECT_EQ(wire.provenance, serve::Provenance::ExactHit);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(wire.best_score),
+                  std::bit_cast<std::uint64_t>(local.ga.best_score))
+            << "first contact " << i;
+        EXPECT_EQ(wire.strategy.mhz_per_stage,
+                  local.strategy.mhz_per_stage)
+            << "first contact " << i;
+    }
+    server.stop();
+}
+
+TEST(NetReactor, UpgradeListenerInstalledBeforeTheServerStillFires)
+{
+    serve::StrategyService service(predictFirstOptions());
+    std::atomic<std::uint64_t> heard{0};
+    service.setUpgradeListener(
+        [&heard](std::uint64_t) { heard.fetch_add(1); });
+    StrategyServer server(service, ServerOptions{});
+    server.start();
+    sendFirstContacts(service, server.port());
+
+    std::uint64_t upgrades = service.stats().refine_upgrades;
+    ASSERT_GT(upgrades, 0u);
+    EXPECT_EQ(heard.load(), upgrades);
+    server.stop();
+}
+
+TEST(NetReactor, RestoredEntryIsOnTheFastPathFromTheFirstRequest)
+{
+    WireRequest request = testWireRequest(256, 11);
+    std::vector<serve::CacheEntry> persisted;
+    {
+        serve::StrategyService origin(fastOptions(1));
+        origin.submit(serviceRequest(request)).get();
+        persisted = origin.snapshotCache();
+    }
+    serve::StrategyService service(fastOptions(1));
+    ASSERT_EQ(service.restoreEntries(persisted), 1u);
+    StrategyServer server(service, ServerOptions{});
+    server.start();
+
+    int fd = connectLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    std::string raw = roundTripRaw(fd, frameRequest(request));
+    ::close(fd);
+    EXPECT_EQ(server.stats().fast_path_hits, 1u);
+    EXPECT_EQ(service.stats().requests, 0u);
+    EXPECT_EQ(raw, groundTruthHitFrame(service, request));
+    server.stop();
+}
+
+TEST(NetReactor, DonorEntryIsNeverServedOnTheFastPath)
+{
+    WireRequest request = testWireRequest(256, 13);
+    serve::PeerDonor donor;
+    {
+        serve::StrategyService origin(fastOptions(1));
+        serve::StrategyResponse owned =
+            origin.submit(serviceRequest(request)).get();
+        donor.fingerprint = owned.fingerprint;
+        donor.strategy = owned.strategy;
+        donor.best_mhz = owned.ga.best_mhz;
+        donor.best_score = owned.ga.best_score;
+        donor.similarity = 1.0;
+        donor.perf_loss_target = request.perf_loss_target;
+    }
+    serve::StrategyService service(fastOptions(1));
+    service.importDonor(donor);
+    StrategyServer server(service, ServerOptions{});
+    server.start();
+
+    // The donor names this very digest at the current epoch, yet the
+    // request is searched (warm-started by the donor), not served.
+    StrategyClient client("127.0.0.1", server.port());
+    WireResponse first = client.call(request);
+    ASSERT_EQ(first.status, Status::Ok);
+    EXPECT_EQ(first.provenance, serve::Provenance::WarmStart);
+    EXPECT_EQ(server.stats().fast_path_hits, 0u);
+
+    // The owned result replaced the donor and is on the loop now.
+    EXPECT_EQ(client.call(request).provenance,
+              serve::Provenance::ExactHit);
+    EXPECT_EQ(server.stats().fast_path_hits, 1u);
     server.stop();
 }
 

@@ -363,8 +363,7 @@ TEST(ShardFleet, PeerDonorConvertsColdToWarmStart)
                << serve::provenanceToken(shadow.provenance);
     } catch (const NotOwnerError &) {
         // Ownership checking already prevents the shadow read — the
-        // cache-level warm_start_only guarantee is covered by the
-        // service tests.
+        // cache-level Donor guarantee is covered by the service tests.
     }
 
     // The variant's own answer is now cached at its owner.

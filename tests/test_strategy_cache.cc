@@ -1,7 +1,6 @@
 /**
- * Sharded LRU strategy cache: exact hits, LRU eviction with recency
- * refresh, overwrite semantics, similarity search, and concurrent
- * access.
+ * LRU strategy cache: exact hits, LRU eviction with recency refresh,
+ * overwrite semantics, similarity search, and concurrent access.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +27,7 @@ entryWith(std::uint64_t digest, double feature, double mhz = 1500.0)
 
 TEST(StrategyCache, ExactHitReturnsTheStoredEntry)
 {
-    StrategyCache cache({.capacity = 8, .shards = 2});
+    StrategyCache cache({.capacity = 8});
     cache.insert(entryWith(101, 0.1, 1300.0));
     auto hit = cache.findExact(101);
     ASSERT_TRUE(hit.has_value());
@@ -39,17 +38,16 @@ TEST(StrategyCache, ExactHitReturnsTheStoredEntry)
 
 TEST(StrategyCache, InsertOverwritesSameDigest)
 {
-    StrategyCache cache({.capacity = 8, .shards = 2});
+    StrategyCache cache({.capacity = 8});
     cache.insert(entryWith(7, 0.1, 1300.0));
     cache.insert(entryWith(7, 0.1, 1700.0));
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_DOUBLE_EQ(cache.findExact(7)->ga.best_mhz[0], 1700.0);
 }
 
-TEST(StrategyCache, EvictsLeastRecentlyUsedPerShard)
+TEST(StrategyCache, EvictsLeastRecentlyUsed)
 {
-    // One shard so the LRU order is global and easy to reason about.
-    StrategyCache cache({.capacity = 3, .shards = 1});
+    StrategyCache cache({.capacity = 3});
     cache.insert(entryWith(1, 0.1));
     cache.insert(entryWith(2, 0.2));
     cache.insert(entryWith(3, 0.3));
@@ -65,7 +63,7 @@ TEST(StrategyCache, EvictsLeastRecentlyUsedPerShard)
 
 TEST(StrategyCache, FindSimilarPicksTheClosestAboveThreshold)
 {
-    StrategyCache cache({.capacity = 16, .shards = 4});
+    StrategyCache cache({.capacity = 16});
     cache.insert(entryWith(1, 0.10));
     cache.insert(entryWith(2, 0.12));
     cache.insert(entryWith(3, 0.90));
@@ -90,7 +88,7 @@ TEST(StrategyCache, FindSimilarPicksTheClosestAboveThreshold)
 
 TEST(StrategyCache, FindSimilarGatesOnTheLossTarget)
 {
-    StrategyCache cache({.capacity = 16, .shards = 2});
+    StrategyCache cache({.capacity = 16});
     CacheEntry tight = entryWith(1, 0.10);
     tight.perf_loss_target = 0.02;
     CacheEntry loose = entryWith(2, 0.10);
@@ -126,7 +124,7 @@ TEST(StrategyCache, FindSimilarGatesOnTheLossTarget)
 
 TEST(StrategyCache, ScanCountersTrackSimilarityEffort)
 {
-    StrategyCache cache({.capacity = 16, .shards = 1});
+    StrategyCache cache({.capacity = 16});
     ScanCounters before = cache.scanCounters();
     EXPECT_EQ(before.similar_lookups, 0u);
     EXPECT_EQ(before.similar_scanned, 0u);
@@ -173,13 +171,13 @@ TEST(StrategyCache, ScanCountersTrackSimilarityEffort)
 
 TEST(StrategyCache, ZeroCapacityRejected)
 {
-    EXPECT_THROW(StrategyCache({.capacity = 0, .shards = 2}),
+    EXPECT_THROW(StrategyCache({.capacity = 0}),
                  std::invalid_argument);
 }
 
 TEST(StrategyCache, ConcurrentInsertAndLookupKeepsInvariants)
 {
-    StrategyCache cache({.capacity = 64, .shards = 8});
+    StrategyCache cache({.capacity = 64});
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
         threads.emplace_back([&cache, t] {

@@ -62,7 +62,8 @@ sampleEntry(std::uint64_t digest, double low_mhz = 1300.0)
     entry.ga.best_mhz = {1800.0, low_mhz, 1800.0, low_mhz};
     entry.ga.best_score = 0.75 + static_cast<double>(digest) / 1024.0;
     entry.perf_loss_target = 0.02;
-    entry.warm_start_only = (digest % 2) == 1;
+    if (digest % 2 == 1)
+        entry.kind = CacheEntry::Kind::Donor;
     return entry;
 }
 
@@ -89,7 +90,7 @@ TEST(CacheStoreCodec, EntryRoundTripIsLossless)
     EXPECT_DOUBLE_EQ(loaded.perf_loss_target, original.perf_loss_target);
     EXPECT_DOUBLE_EQ(loaded.ga.best_score, original.ga.best_score);
     EXPECT_EQ(loaded.ga.best_mhz, original.ga.best_mhz);
-    EXPECT_EQ(loaded.warm_start_only, original.warm_start_only);
+    EXPECT_EQ(loaded.kind, original.kind);
     EXPECT_EQ(strategyText(loaded.strategy),
               strategyText(original.strategy));
 }

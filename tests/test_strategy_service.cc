@@ -56,7 +56,6 @@ baseOptions(std::size_t workers)
     options.pipeline.ga.refine_sweeps = 2;
     options.workers = workers;
     options.cache.capacity = 32;
-    options.cache.shards = 4;
     return options;
 }
 
@@ -368,14 +367,13 @@ TEST(StrategyService, EpochAdvanceDemotesExactHitsToWarmStarts)
 TEST(StrategyService, EvictionRacingEpochAdvanceStaysCoherent)
 {
     // Run under the tsan preset (this binary matches its test regex):
-    // a capacity-2 single-shard cache forces an eviction on nearly
-    // every insert while another thread hammers advanceModelEpoch, so
-    // the shard mutex, the epoch counter, and the stats counters are
-    // all contended at once.  The assertions only pin logical
+    // a capacity-2 cache forces an eviction on nearly every insert
+    // while another thread hammers advanceModelEpoch, so the cache
+    // mutex, the epoch counter, and the stats counters are all
+    // contended at once.  The assertions only pin logical
     // coherence; the sanitizer pins the memory ordering.
     ServiceOptions options = fastOptions(4);
     options.cache.capacity = 2;
-    options.cache.shards = 1;
     StrategyService service(options);
 
     const std::vector<int> seqs = {128, 160, 192, 224, 256, 288};
@@ -634,7 +632,7 @@ TEST(StrategyService, ImportedDonorIsNeverAnExactHit)
     std::optional<SimilarHit> re_exported = importer.exportDonor(
         owned.fingerprint, request.perf_loss_target);
     ASSERT_TRUE(re_exported.has_value());
-    EXPECT_FALSE(re_exported->entry.warm_start_only);
+    EXPECT_NE(re_exported->entry.kind, CacheEntry::Kind::Donor);
 }
 
 TEST(StrategyService, PeerDonorLookupConvertsColdToWarmStart)
@@ -790,7 +788,7 @@ TEST(StrategyService, PredictFirstServesSurrogateThenRefinesAsync)
     // Predicted entries are provisional: the persistence snapshot
     // must never contain one.
     for (const CacheEntry &entry : service.snapshotCache())
-        EXPECT_FALSE(entry.predicted);
+        EXPECT_NE(entry.kind, CacheEntry::Kind::Predicted);
 }
 
 bool
