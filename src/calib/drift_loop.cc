@@ -57,7 +57,9 @@ runDriftLoop(const npu::NpuConfig &chip_config,
 
     std::vector<trace::SetFreqTrigger> ordered =
         trace::orderTriggers(std::move(triggers), workload.iteration.size());
-    trace::RunHarness harness(chip_config, workload, options.run);
+    std::vector<npu::CompiledOp> ops =
+        trace::compileIteration(chip_config, workload);
+    trace::RunHarness harness(chip_config, workload, ops, options.run);
     sim::Simulator &simulator = harness.simulator();
     npu::NpuChip &chip = harness.chip();
     trace::Profiler &profiler = harness.profiler();

@@ -51,7 +51,7 @@ buildDevices(sim::Simulator &simulator, const ClusterConfig &config,
             chip_config.faults = device_faults[static_cast<std::size_t>(d)];
         Device device;
         device.chip = std::make_unique<npu::NpuChip>(simulator, chip_config);
-        device.ops = trace::compileIteration(*device.chip, workload);
+        device.ops = trace::compileIteration(chip_config, workload);
         devices.push_back(std::move(device));
     }
     return devices;

@@ -272,7 +272,9 @@ runGuarded(const npu::NpuConfig &chip_config,
 
     std::vector<trace::SetFreqTrigger> ordered =
         trace::orderTriggers(triggers, workload.iteration.size());
-    trace::RunHarness harness(chip_config, workload, options.run);
+    std::vector<npu::CompiledOp> compiled =
+        trace::compileIteration(chip_config, workload);
+    trace::RunHarness harness(chip_config, workload, compiled, options.run);
     sim::Simulator &simulator = harness.simulator();
     npu::NpuChip &chip = harness.chip();
     trace::Profiler &profiler = harness.profiler();

@@ -44,6 +44,23 @@ EnergyPipeline::prepare(const models::Workload &workload) const
     npu::FreqTable table(options_.chip.freq);
     trace::WorkloadRunner runner(options_.chip);
 
+    // Reject a bad frequency list before any simulation runs.
+    const std::vector<double> &freqs = options_.profile_freqs_mhz;
+    if (freqs.size() < 2)
+        throw std::invalid_argument("EnergyPipeline: need >= 2 profile "
+                                    "frequencies");
+    for (auto f = freqs.begin(); f != freqs.end(); ++f) {
+        if (!table.supports(*f))
+            throw std::invalid_argument("EnergyPipeline: unsupported "
+                                        "profile frequency");
+        // Each point would count twice in the fits.
+        if (std::any_of(freqs.begin(), f, [&](double earlier) {
+                return table.snap(earlier) == table.snap(*f);
+            }))
+            throw std::invalid_argument("EnergyPipeline: duplicate "
+                                        "profile frequency");
+    }
+
     // --- power-model construction: offline half (Fig. 11) ----------------
     prepared.constants = options_.constants
         ? *options_.constants
@@ -51,30 +68,26 @@ EnergyPipeline::prepare(const models::Workload &workload) const
     power::PowerModel power_model(prepared.constants, table);
 
     // --- profiling runs at the model-building frequencies ----------------
-    if (options_.profile_freqs_mhz.size() < 2)
-        throw std::invalid_argument("EnergyPipeline: need >= 2 profile "
-                                    "frequencies");
+    // The runs are independent, so they run at the same time; only the
+    // merge below is ordered, by frequency list position.
+    std::vector<trace::RunOptions> run_options(freqs.size());
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
+        run_options[i].initial_mhz = freqs[i];
+        run_options[i].warmup_seconds = options_.warmup_seconds;
+        run_options[i].sample_period = options_.profile_sample_period;
+        run_options[i].seed =
+            options_.seed * 31 + static_cast<std::uint64_t>(freqs[i]);
+    }
+    std::vector<trace::RunResult> runs = runner.runEach(workload, run_options);
 
     perf::PerfModelRepository perf_repo;
     power::OnlinePowerCalibrator online(power_model);
-
-    double max_profile_freq = *std::max_element(
-        options_.profile_freqs_mhz.begin(), options_.profile_freqs_mhz.end());
-
-    for (double f : options_.profile_freqs_mhz) {
-        trace::RunOptions run_options;
-        run_options.initial_mhz = f;
-        run_options.warmup_seconds = options_.warmup_seconds;
-        run_options.sample_period = options_.profile_sample_period;
-        run_options.seed =
-            options_.seed * 31 + static_cast<std::uint64_t>(f);
-        trace::RunResult run = runner.run(workload, run_options);
-
-        perf_repo.addProfile(f, run.records);
-        online.addRun(run);
-        if (f == max_profile_freq)
-            prepared.baseline = run;
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
+        perf_repo.addProfile(freqs[i], runs[i].records);
+        online.addRun(runs[i]);
     }
+    prepared.baseline = std::move(
+        runs[std::max_element(freqs.begin(), freqs.end()) - freqs.begin()]);
 
     perf::PerfBuildOptions perf_options;
     perf_options.kind = options_.fit_kind;

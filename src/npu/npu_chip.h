@@ -13,10 +13,11 @@
  * completed work fraction is preserved and the remainder re-timed at
  * the new frequency.
  *
- * Operators execute from CompiledOp descriptors built once per run, and
- * the op lifecycle (stream task, completion callback, retire event)
- * uses closures small enough for std::function's local buffer, so a
- * simulated operator costs no heap allocation.
+ * Operators execute from CompiledOp descriptors built once and shared
+ * read-only by every run of a batch, and the op lifecycle (stream
+ * task, completion callback, retire event) uses closures small enough
+ * for std::function's local buffer, so a simulated operator costs no
+ * heap allocation.
  */
 
 #ifndef OPDVFS_NPU_NPU_CHIP_H
@@ -72,8 +73,9 @@ struct NpuConfig
  * An operator compiled for one chip configuration: its ground-truth
  * parameters plus the per-op constants execution needs (the timeline's
  * Ld/St coefficients and the duration at the top frequency).  Built by
- * NpuChip::compile() once per run, then executed any number of times;
- * it must outlive every execution it is queued for.
+ * NpuChip::compile() once, then executed any number of times by any
+ * chip of that configuration; it must outlive every execution it is
+ * queued for.
  */
 struct CompiledOp
 {

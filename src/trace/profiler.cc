@@ -22,6 +22,7 @@ void
 Profiler::openWindow()
 {
     records_.clear();
+    records_.reserve(metadata_.size());
     window_open_ = true;
 }
 

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -65,8 +66,9 @@ class Profiler : public npu::NpuChip::OpObserver
 
     /**
      * Open a measurement window: drop earlier records and keep one per
-     * registered op that finishes from now on.  Before the first window
-     * nothing is kept.
+     * registered op that finishes from now on, with room reserved for
+     * one record per registered op.  Before the first window nothing
+     * is kept.
      */
     void openWindow();
 
@@ -81,6 +83,12 @@ class Profiler : public npu::NpuChip::OpObserver
 
     /** Records of the current window, in completion order. */
     const std::vector<OpRecord> &records() const { return records_; }
+
+    /**
+     * Move the current window's records out; the window stays open
+     * and holds none.
+     */
+    std::vector<OpRecord> takeRecords() { return std::move(records_); }
 
   private:
     ProfilerNoise noise_;

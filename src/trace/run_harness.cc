@@ -20,8 +20,14 @@ atInitialFrequency(npu::NpuConfig config, double initial_mhz)
 } // namespace
 
 std::vector<npu::CompiledOp>
-compileIteration(const npu::NpuChip &chip, const models::Workload &workload)
+compileIteration(const npu::NpuConfig &config,
+                 const models::Workload &workload)
 {
+    // Any supported initial frequency compiles the same ops.
+    sim::Simulator simulator;
+    npu::NpuChip chip(simulator,
+                      atInitialFrequency(
+                          config, npu::FreqTable(config.freq).maxMhz()));
     std::vector<npu::CompiledOp> ops;
     ops.reserve(workload.iteration.size());
     for (const ops::Op &op : workload.iteration)
@@ -45,13 +51,14 @@ orderTriggers(std::vector<SetFreqTrigger> triggers, std::size_t op_count)
 
 RunHarness::RunHarness(const npu::NpuConfig &config,
                        const models::Workload &workload,
+                       const std::vector<npu::CompiledOp> &ops,
                        const RunOptions &options)
     : warmup_seconds_(options.warmup_seconds),
       chip_(simulator_, atInitialFrequency(config, options.initial_mhz)),
       profiler_(chip_, options.profiler_noise, options.seed * 7919 + 1),
       sampler_(chip_, options.sample_period, options.sampler_noise,
                options.seed * 104729 + 2),
-      ops_(compileIteration(chip_, workload))
+      ops_(ops)
 {
     if (workload.iteration.empty())
         throw std::invalid_argument("RunHarness: empty workload");

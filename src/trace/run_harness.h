@@ -1,10 +1,10 @@
 /**
  * @file
  * The measurement protocol every single-chip measurement loop shares
- * (WorkloadRunner::run, dvfs::runGuarded, calib::runDriftLoop): one
- * chip with its profiler and telemetry sampler, the workload compiled
- * once for that chip, the Fig. 14 trigger wiring, and the warm-up to
- * thermal steady state (Sect. 7.4).
+ * (WorkloadRunner::run and runEach, dvfs::runGuarded,
+ * calib::runDriftLoop): one chip with its profiler and telemetry
+ * sampler, the workload's compiled iteration, the Fig. 14 trigger
+ * wiring, and the warm-up to thermal steady state (Sect. 7.4).
  */
 
 #ifndef OPDVFS_TRACE_RUN_HARNESS_H
@@ -23,8 +23,14 @@
 
 namespace opdvfs::trace {
 
-/** Compile every op of @p workload's iteration for @p chip, in order. */
-std::vector<npu::CompiledOp> compileIteration(const npu::NpuChip &chip,
+/**
+ * Compile every op of @p workload's iteration, in order, for chips
+ * built from @p config.  Compiling reads only the configuration's
+ * memory system and top frequency, never `initial_mhz`, so one
+ * compiled iteration serves runs at every initial frequency and seed.
+ * @throws std::invalid_argument for malformed operator parameters.
+ */
+std::vector<npu::CompiledOp> compileIteration(const npu::NpuConfig &config,
                                               const models::Workload
                                                   &workload);
 
@@ -44,8 +50,10 @@ std::vector<SetFreqTrigger> orderTriggers(std::vector<SetFreqTrigger> triggers,
 using SetFreqEnqueue = std::function<void(double mhz)>;
 
 /**
- * A chip built for one measurement run, with its profiler, telemetry
- * sampler and compiled iteration.  The workload must outlive it.
+ * A chip built for one measurement run, with its profiler and
+ * telemetry sampler.  The workload and its compiled iteration must
+ * outlive it; the harness only reads them, so harnesses on other
+ * threads may share both.
  */
 class RunHarness
 {
@@ -53,12 +61,14 @@ class RunHarness
     /**
      * Build the chip from @p config at `options.initial_mhz`; the
      * profiler and sampler take their noise, period and seeds from
-     * @p options.
-     * @throws std::invalid_argument for an empty workload or malformed
-     *         operator parameters.
+     * @p options.  @p ops must be compileIteration(config, workload).
+     * @throws std::invalid_argument for an empty workload or an
+     *         unsupported initial frequency.
      */
     RunHarness(const npu::NpuConfig &config,
-               const models::Workload &workload, const RunOptions &options);
+               const models::Workload &workload,
+               const std::vector<npu::CompiledOp> &ops,
+               const RunOptions &options);
 
     RunHarness(const RunHarness &) = delete;
     RunHarness &operator=(const RunHarness &) = delete;
@@ -90,7 +100,7 @@ class RunHarness
     npu::NpuChip chip_;
     Profiler profiler_;
     PowerSampler sampler_;
-    std::vector<npu::CompiledOp> ops_;
+    const std::vector<npu::CompiledOp> &ops_;
 };
 
 } // namespace opdvfs::trace

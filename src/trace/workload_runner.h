@@ -85,6 +85,19 @@ class WorkloadRunner
                   const RunOptions &options,
                   const std::vector<SetFreqTrigger> &triggers = {}) const;
 
+    /**
+     * Run @p workload once per entry of @p runs, all at the same time
+     * and with no triggers: the caller measures the first run and each
+     * other run gets its own thread.  The runs share one compiled
+     * iteration, read-only.  Result i is bitwise run(workload, runs[i]).
+     * @throws the exception of the lowest-index run that failed, once
+     *         every thread has joined; std::system_error when a thread
+     *         cannot start (the started ones are joined first).
+     */
+    std::vector<RunResult> runEach(const models::Workload &workload,
+                                   const std::vector<RunOptions> &runs)
+        const;
+
     const npu::NpuConfig &config() const { return config_; }
 
   private:

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "dvfs/evaluator.h"
 #include "dvfs/executor.h"
@@ -528,6 +529,32 @@ TEST(EnergyPipeline, RequiresTwoProfileFrequencies)
     options.profile_freqs_mhz = {1800.0};
     EnergyPipeline pipeline(options);
     EXPECT_THROW(pipeline.optimize(h.workload), std::invalid_argument);
+
+    // Duplicate and unsupported frequencies are refused before any
+    // simulation: on a chip whose offline calibration would itself
+    // throw, the pipeline's own error comes first.
+    PipelineOptions uncalibrated;
+    uncalibrated.chip = h.config;
+    uncalibrated.chip.max_energy_segment = 0;
+    auto prepareError = [&](std::vector<double> freqs) -> std::string {
+        uncalibrated.profile_freqs_mhz = std::move(freqs);
+        try {
+            EnergyPipeline(uncalibrated).prepare(h.workload);
+        } catch (const std::invalid_argument &e) {
+            return e.what();
+        }
+        return "no error";
+    };
+    EXPECT_EQ(prepareError({1800.0}),
+              "EnergyPipeline: need >= 2 profile frequencies");
+    EXPECT_EQ(prepareError({1000.0, 1000.0, 1800.0}),
+              "EnergyPipeline: duplicate profile frequency");
+    EXPECT_EQ(prepareError({1800.0, 1800.0}),
+              "EnergyPipeline: duplicate profile frequency");
+    EXPECT_EQ(prepareError({1000.0, 1234.0}),
+              "EnergyPipeline: unsupported profile frequency");
+    EXPECT_EQ(prepareError({1000.0, 1800.0}),
+              "NpuChip: invalid energy segment");
 }
 
 } // namespace

@@ -193,8 +193,9 @@ TEST_F(TraceTest, LateWindowSeesTheRecordsOfAnAlwaysOpenOne)
     std::size_t n = workload_.opCount();
     std::vector<SetFreqTrigger> triggers =
         orderTriggers({{n / 2, 1200.0}, {n - 1, 1800.0}}, n);
-    RunHarness a(config_, workload_, options);
-    RunHarness b(config_, workload_, options);
+    std::vector<npu::CompiledOp> ops = compileIteration(config_, workload_);
+    RunHarness a(config_, workload_, ops, options);
+    RunHarness b(config_, workload_, ops, options);
 
     constexpr std::size_t kIterations = 4;
     a.profiler().openWindow();
