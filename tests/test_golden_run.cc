@@ -8,9 +8,10 @@
  * modelling change re-pins them, and the failure output prints the
  * observed values in the table's format for that purpose.  The
  * predict-then-refine row pins what the strategy service stores once a
- * background refinement settles; the three search rows pin every field
- * of a GaResult, so a change to the GA's host-side work must leave
- * them unchanged as well.
+ * background refinement settles; the search rows pin every field of a
+ * GaResult, so a change to the GA's host-side work must leave them
+ * unchanged as well.  One of them runs the GA directly on a space
+ * searchStrategy may enumerate instead, so it pins the GA itself.
  */
 
 #include <gtest/gtest.h>
@@ -24,12 +25,14 @@
 
 #include "calib/drift_loop.h"
 #include "cluster/cluster_runner.h"
+#include "dvfs/evaluator.h"
 #include "dvfs/guard.h"
 #include "dvfs/pipeline.h"
 #include "models/model_zoo.h"
 #include "models/transformer.h"
 #include "npu/freq_table.h"
 #include "power/offline_calibration.h"
+#include "power/power_model.h"
 #include "serve/service.h"
 #include "trace/workload_runner.h"
 
@@ -261,6 +264,29 @@ hashSearch(const dvfs::PipelineOptions &options,
 {
     Hasher h;
     hashGa(h, dvfs::EnergyPipeline(options).optimize(workload).ga);
+    return h.value();
+}
+
+/**
+ * geneticSearch on the instance and GA options optimize() would
+ * search, whichever route searchStrategy takes for it.
+ */
+std::uint64_t
+hashGeneticSearch(const dvfs::PipelineOptions &options,
+                  const models::Workload &workload)
+{
+    dvfs::PreparedWorkload prepared =
+        dvfs::EnergyPipeline(options).prepare(workload);
+    npu::FreqTable table(options.chip.freq);
+    power::PowerModel power_model(prepared.constants, table);
+    dvfs::StageEvaluator evaluator(prepared.prep.stages,
+                                   prepared.perf_models, power_model,
+                                   prepared.op_power, table);
+    dvfs::GaOptions ga = options.ga;
+    ga.perf_loss_target = options.perf_loss_target;
+    ga.seed = options.seed * 7 + 13;
+    Hasher h;
+    hashGa(h, dvfs::geneticSearch(evaluator, prepared.prep.stages, ga));
     return h.value();
 }
 
@@ -528,6 +554,10 @@ struct Observed
         values.emplace_back(
             "Transformer+prior+search",
             hashSearch(first_contact, servedTransformer(memory, 300, 768)));
+        values.emplace_back("Transformer+prior+ga",
+                            hashGeneticSearch(first_contact,
+                                              servedTransformer(memory, 300,
+                                                                768)));
 
         // BERT scored through an injected loop that runs its indices
         // backwards: evaluation order must not reach the result.
@@ -584,6 +614,7 @@ const GoldenCase kGolden[] = {
     {"Transformer+predict+refine", 0x4ca0141d46f76ef6ULL},
     {"GPT3+table3+search", 0xb56dd3c044ca50c5ULL},
     {"Transformer+prior+search", 0xc2cf9cef74929fd8ULL},
+    {"Transformer+prior+ga", 0xc2cf9cef74929fd8ULL},
     {"BERT+reversed+search", 0x37e4884f113f79d3ULL},
     {"BERT+odd-population+search", 0xb0f5205d8fc01945ULL},
 };
