@@ -78,7 +78,7 @@ main()
         options.refine_sweeps = 0; // pure GA for the convergence plot
         auto t0 = Clock::now();
         dvfs::GaResult result =
-            dvfs::searchStrategy(evaluator, prep.stages, options);
+            dvfs::geneticSearch(evaluator, prep.stages, options);
         double seconds =
             std::chrono::duration<double>(Clock::now() - t0).count();
 

@@ -109,7 +109,7 @@ BM_GaGeneration(benchmark::State &state)
         options.generations = static_cast<int>(state.range(0));
         options.refine_sweeps = 0;
         auto result =
-            dvfs::searchStrategy(*f.evaluator, f.prep.stages, options);
+            dvfs::geneticSearch(*f.evaluator, f.prep.stages, options);
         benchmark::DoNotOptimize(result.best_score);
     }
     state.SetItemsProcessed(state.iterations() * state.range(0) * 200);

@@ -1,7 +1,9 @@
 #include "check/oracles.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "dvfs/evaluator.h"
@@ -41,6 +43,53 @@ closeRel(double a, double b, double rel)
 {
     return std::abs(a - b) <= rel * std::max(std::abs(a), std::abs(b))
         + 1e-300;
+}
+
+/** The Eq. 17 lower bound a search of @p problem scores against. */
+double
+perfLowerBound(const dvfs::StageEvaluator &evaluator,
+               const TinyProblem &problem)
+{
+    return 1e-6 / evaluator.evaluateBaseline().seconds
+        * (1.0 - problem.perf_loss_target);
+}
+
+/** Exhaustive enumeration: the ground-truth optimum score. */
+double
+exhaustiveOptimum(const dvfs::StageEvaluator &evaluator,
+                  double per_lower_bound)
+{
+    const std::size_t stages = evaluator.stageCount();
+    const std::size_t freqs = evaluator.freqCount();
+    std::vector<std::uint8_t> genome(stages, 0);
+    double best = -1.0;
+    while (true) {
+        double score = dvfs::strategyScore(evaluator.evaluate(genome),
+                                           per_lower_bound);
+        best = std::max(best, score);
+        std::size_t digit = 0;
+        while (digit < stages) {
+            if (++genome[digit] < freqs)
+                break;
+            genome[digit] = 0;
+            ++digit;
+        }
+        if (digit == stages)
+            return best;
+    }
+}
+
+/** Search options for tiny problems: a budget of 24 x 32 genomes. */
+dvfs::GaOptions
+tinySearchOptions(const TinyProblem &problem)
+{
+    dvfs::GaOptions options;
+    options.population = 24;
+    options.generations = 32;
+    options.refine_sweeps = 4;
+    options.perf_loss_target = problem.perf_loss_target;
+    options.seed = 11;
+    return options;
 }
 
 } // namespace
@@ -415,36 +464,11 @@ checkGaOptimality(const TinyProblem &problem)
     if (stages == 0)
         return Fail() << "tiny problem produced no stages";
 
-    dvfs::StrategyEvaluation baseline = evaluator.evaluateBaseline();
-    double per_lower_bound = 1e-6 / baseline.seconds
-        * (1.0 - problem.perf_loss_target);
+    double per_lower_bound = perfLowerBound(evaluator, problem);
+    double best_exhaustive = exhaustiveOptimum(evaluator, per_lower_bound);
 
-    // Exhaustive enumeration: the ground-truth optimum.
-    std::vector<std::uint8_t> genome(stages, 0);
-    double best_exhaustive = -1.0;
-    while (true) {
-        double score = dvfs::strategyScore(evaluator.evaluate(genome),
-                                           per_lower_bound);
-        best_exhaustive = std::max(best_exhaustive, score);
-        std::size_t digit = 0;
-        while (digit < stages) {
-            if (++genome[digit] < freqs)
-                break;
-            genome[digit] = 0;
-            ++digit;
-        }
-        if (digit == stages)
-            break;
-    }
-
-    dvfs::GaOptions options;
-    options.population = 24;
-    options.generations = 32;
-    options.refine_sweeps = 4;
-    options.perf_loss_target = problem.perf_loss_target;
-    options.seed = 11;
-    dvfs::GaResult ga =
-        dvfs::searchStrategy(evaluator, problem.stages, options);
+    dvfs::GaResult ga = dvfs::geneticSearch(evaluator, problem.stages,
+                                            tinySearchOptions(problem));
 
     // Soundness: the GA can never beat the true optimum.
     if (ga.best_score > best_exhaustive * (1.0 + 1e-9) + 1e-12) {
@@ -482,6 +506,28 @@ checkGaOptimality(const TinyProblem &problem)
     }
     if (ga.best_score < ga.pre_refine_score)
         return Fail() << "refinement lowered the score";
+    return std::nullopt;
+}
+
+std::optional<std::string>
+checkRoutedSearchIsExact(const TinyProblem &problem)
+{
+    npu::FreqTable table(problem.freq);
+    power::PowerModel power_model(problem.constants, table);
+    dvfs::StageEvaluator evaluator(problem.stages, problem.perf,
+                                   power_model, problem.op_power, table);
+    double best_exhaustive = exhaustiveOptimum(
+        evaluator, perfLowerBound(evaluator, problem));
+    dvfs::GaResult routed = dvfs::searchStrategy(evaluator, problem.stages,
+                                                 tinySearchOptions(problem));
+    if (std::bit_cast<std::uint64_t>(routed.best_score)
+        != std::bit_cast<std::uint64_t>(best_exhaustive)) {
+        return Fail() << "searchStrategy score " << routed.best_score
+                      << " is not the exhaustive optimum "
+                      << best_exhaustive << " bit for bit ("
+                      << evaluator.stageCount() << " stages x "
+                      << evaluator.freqCount() << " freqs)";
+    }
     return std::nullopt;
 }
 

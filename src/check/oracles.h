@@ -29,6 +29,9 @@
  *  - checkGaOptimality       Eq. 17 scoring: the GA never scores above
  *                            the exhaustive optimum on tiny instances,
  *                            and reaches it.
+ *  - checkRoutedSearchIsExact  searchStrategy, which enumerates spaces
+ *                            inside the GA's budget, returns that
+ *                            optimum bit for bit.
  *  - checkStrategyRoundTrip  save -> load -> save is byte-stable.
  *  - checkModelVsSimulator   the analytical models track the cycle
  *                            simulator within the paper's error bands
@@ -97,6 +100,10 @@ checkPreprocessInvariants(const std::vector<trace::OpRecord> &records,
 
 /** GA score vs exhaustive enumeration on a tiny instance. */
 std::optional<std::string> checkGaOptimality(const TinyProblem &problem);
+
+/** searchStrategy's score vs the same enumeration, bit for bit. */
+std::optional<std::string>
+checkRoutedSearchIsExact(const TinyProblem &problem);
 
 /** save -> load -> save byte stability (+ device validation). */
 std::optional<std::string>

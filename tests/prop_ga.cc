@@ -6,7 +6,9 @@
  * (soundness), always reaches it (the search budget covers the genome
  * space many times over), and its reported artefacts are consistent
  * (best genome rescores to the reported score, the score history
- * never regresses, refinement never hurts).  The batched evaluation
+ * never regresses, refinement never hurts).  searchStrategy, which
+ * enumerates such spaces instead of running the GA, returns the
+ * exhaustive optimum bit for bit.  The batched evaluation
  * the GA scores its populations with returns, for any listed rows of
  * a flat genome buffer in any order, bitwise what evaluate() returns
  * for each row and leaves the other rows' slots alone.
@@ -38,6 +40,18 @@ TEST(PropGa, MatchesExhaustiveOptimumOnTinyInstances)
         "ga-vs-exhaustive",
         [](Rng &rng) { return genTinyProblem(rng, 4, 3); },
         checkGaOptimality);
+    prop.withPrinter([](const TinyProblem &problem) {
+        return show(problem);
+    });
+    OPDVFS_CHECK_PROP(prop);
+}
+
+TEST(PropGa, RoutedSearchIsTheExhaustiveOptimumOnTinyInstances)
+{
+    Property<TinyProblem> prop(
+        "routed-search-vs-exhaustive",
+        [](Rng &rng) { return genTinyProblem(rng, 4, 3); },
+        checkRoutedSearchIsExact);
     prop.withPrinter([](const TinyProblem &problem) {
         return show(problem);
     });

@@ -185,7 +185,7 @@ TEST(StageEvaluator, TableWiderThanAGeneIsRejected)
     options.population = 8;
     options.generations = 2;
     options.refine_sweeps = 1;
-    GaResult result = searchStrategy(evaluator, h.prep.stages, options);
+    GaResult result = geneticSearch(evaluator, h.prep.stages, options);
     ASSERT_EQ(result.best_mhz.size(), evaluator.stageCount());
     for (double mhz : result.best_mhz)
         EXPECT_TRUE(widest.supports(mhz)) << mhz;
@@ -201,7 +201,7 @@ TEST(GeneticSearch, FindsStrategyBeatingBaselineScore)
     options.population = 60;
     options.generations = 60;
     options.perf_loss_target = 0.05;
-    GaResult result = searchStrategy(evaluator, h.prep.stages, options);
+    GaResult result = geneticSearch(evaluator, h.prep.stages, options);
 
     double per_lb = (1e-6 / result.baseline_eval.seconds) * 0.95;
     double baseline_score = strategyScore(result.baseline_eval, per_lb);
@@ -223,7 +223,7 @@ TEST(GeneticSearch, ScoreHistoryMonotone)
     GaOptions options;
     options.population = 40;
     options.generations = 40;
-    GaResult result = searchStrategy(evaluator, h.prep.stages, options);
+    GaResult result = geneticSearch(evaluator, h.prep.stages, options);
     ASSERT_EQ(result.score_history.size(), 40u);
     for (std::size_t i = 1; i < result.score_history.size(); ++i)
         EXPECT_GE(result.score_history[i], result.score_history[i - 1]);
@@ -240,8 +240,8 @@ TEST(GeneticSearch, DeterministicBySeed)
     options.population = 30;
     options.generations = 20;
     options.seed = 5;
-    GaResult a = searchStrategy(evaluator, h.prep.stages, options);
-    GaResult b = searchStrategy(evaluator, h.prep.stages, options);
+    GaResult a = geneticSearch(evaluator, h.prep.stages, options);
+    GaResult b = geneticSearch(evaluator, h.prep.stages, options);
     EXPECT_EQ(a.best_genome, b.best_genome);
     EXPECT_DOUBLE_EQ(a.best_score, b.best_score);
 }
@@ -259,7 +259,7 @@ TEST(GeneticSearch, ParallelFitnessMatchesSerialBitExactly)
     options.population = 30;
     options.generations = 20;
     options.seed = 5;
-    GaResult serial = searchStrategy(evaluator, h.prep.stages, options);
+    GaResult serial = geneticSearch(evaluator, h.prep.stages, options);
 
     GaOptions reversed = options;
     reversed.parallel_for = [](std::size_t count,
@@ -267,7 +267,7 @@ TEST(GeneticSearch, ParallelFitnessMatchesSerialBitExactly)
         for (std::size_t i = count; i-- > 0;)
             fn(i);
     };
-    GaResult backwards = searchStrategy(evaluator, h.prep.stages, reversed);
+    GaResult backwards = geneticSearch(evaluator, h.prep.stages, reversed);
     EXPECT_EQ(backwards.best_genome, serial.best_genome);
     EXPECT_DOUBLE_EQ(backwards.best_score, serial.best_score);
     EXPECT_EQ(backwards.score_history, serial.score_history);
@@ -287,12 +287,12 @@ TEST(GeneticSearch, PriorIndividualSeedsThePopulation)
     cold.population = 30;
     cold.generations = 20;
     cold.seed = 5;
-    GaResult donor = searchStrategy(evaluator, h.prep.stages, cold);
+    GaResult donor = geneticSearch(evaluator, h.prep.stages, cold);
 
     GaOptions warm = cold;
     warm.generations = 4;
     warm.prior_individuals.push_back(donor.best_mhz);
-    GaResult warmed = searchStrategy(evaluator, h.prep.stages, warm);
+    GaResult warmed = geneticSearch(evaluator, h.prep.stages, warm);
     EXPECT_GE(warmed.best_score, donor.pre_refine_score * (1.0 - 1e-12));
     // ...and at a fraction of the cold budget.
     ASSERT_EQ(warmed.score_history.size(), 4u);
@@ -312,12 +312,12 @@ TEST(GeneticSearch, PriorWithDifferentStageCountIsResampled)
     // A short prior (e.g. from a donor workload with fewer stages)
     // stretches across the genome instead of being rejected.
     options.prior_individuals.push_back({1000.0, 1800.0});
-    GaResult result = searchStrategy(evaluator, h.prep.stages, options);
+    GaResult result = geneticSearch(evaluator, h.prep.stages, options);
     EXPECT_FALSE(result.best_mhz.empty());
 
     GaOptions empty_prior = options;
     empty_prior.prior_individuals = {{}};
-    EXPECT_THROW(searchStrategy(evaluator, h.prep.stages, empty_prior),
+    EXPECT_THROW(geneticSearch(evaluator, h.prep.stages, empty_prior),
                  std::invalid_argument);
 }
 
@@ -332,8 +332,8 @@ TEST(GeneticSearch, TighterTargetAllowsLessSlowdown)
     tight.generations = loose.generations = 80;
     tight.perf_loss_target = 0.02;
     loose.perf_loss_target = 0.10;
-    GaResult t = searchStrategy(evaluator, h.prep.stages, tight);
-    GaResult l = searchStrategy(evaluator, h.prep.stages, loose);
+    GaResult t = geneticSearch(evaluator, h.prep.stages, tight);
+    GaResult l = geneticSearch(evaluator, h.prep.stages, loose);
     EXPECT_LE(t.best_eval.seconds, l.best_eval.seconds + 1e-9);
     EXPECT_GE(t.best_eval.aicore_watts, l.best_eval.aicore_watts - 1e-9);
 }

@@ -1,11 +1,15 @@
 /**
  * Behavioural tests of the GA knobs on a synthetic evaluator-free
  * setup: we build a tiny real evaluator from hand-made stages and
- * models so each option's effect is observable in isolation.
+ * models so each option's effect is observable in isolation.  The GA
+ * tests call geneticSearch, since searchStrategy enumerates spaces this
+ * small; the routing tests check where searchStrategy draws that line
+ * and that both routes reject the same invalid options.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -28,7 +32,7 @@ struct TinyFixture
 {
     npu::FreqTable table;
     power::CalibratedConstants constants;
-    power::PowerModel power_model{initConstants(), npu::FreqTable{}};
+    power::PowerModel power_model;
     perf::PerfModelRepository repo;
     std::vector<Stage> stages;
     std::unordered_map<std::uint64_t, power::OpPowerModel> op_power;
@@ -48,7 +52,8 @@ struct TinyFixture
         return c;
     }
 
-    explicit TinyFixture(int stage_count)
+    explicit TinyFixture(int stage_count, npu::FreqTableConfig freq = {})
+        : table(freq), power_model(initConstants(), table)
     {
         // Profile records: op i measured at two frequencies.
         std::vector<trace::OpRecord> at1000, at1800;
@@ -113,7 +118,7 @@ TEST(GaOptionsTest, FindsTheObviousOptimum)
     options.refine_sweeps = 4;
     options.perf_loss_target = 0.02;
     GaResult result =
-        searchStrategy(*fixture.evaluator, fixture.stages, options);
+        geneticSearch(*fixture.evaluator, fixture.stages, options);
     // Insensitive stages must end at the bottom of the table;
     // sensitive stages must stay at the top.
     for (std::size_t s = 0; s < fixture.stages.size(); ++s) {
@@ -133,9 +138,9 @@ TEST(GaOptionsTest, MultiLevelPriorsHelpEarlyGenerations)
     with.generations = without.generations = 5; // early snapshot
     without.multi_level_priors = false;
     GaResult r_with =
-        searchStrategy(*fixture.evaluator, fixture.stages, with);
+        geneticSearch(*fixture.evaluator, fixture.stages, with);
     GaResult r_without =
-        searchStrategy(*fixture.evaluator, fixture.stages, without);
+        geneticSearch(*fixture.evaluator, fixture.stages, without);
     EXPECT_GE(r_with.score_history.front(),
               r_without.score_history.front());
 }
@@ -146,7 +151,7 @@ TEST(GaOptionsTest, RefinementNeverHurts)
     GaOptions options = smallGa();
     options.refine_sweeps = 8;
     GaResult result =
-        searchStrategy(*fixture.evaluator, fixture.stages, options);
+        geneticSearch(*fixture.evaluator, fixture.stages, options);
     EXPECT_GE(result.best_score, result.pre_refine_score);
 }
 
@@ -169,37 +174,156 @@ TEST(GaOptionsTest, ParallelForGetsBlocksOfRowsThatNeedScoring)
             fn(i);
     };
     GaResult blocked =
-        searchStrategy(*fixture.evaluator, fixture.stages, options);
+        geneticSearch(*fixture.evaluator, fixture.stages, options);
     EXPECT_EQ(calls, std::vector<std::size_t>{3});
 
     options.parallel_for = nullptr;
     GaResult serial =
-        searchStrategy(*fixture.evaluator, fixture.stages, options);
+        geneticSearch(*fixture.evaluator, fixture.stages, options);
     EXPECT_EQ(blocked.best_genome, serial.best_genome);
     EXPECT_EQ(blocked.score_history, serial.score_history);
 }
 
+/** Invalid options of every kind the searches reject. */
+std::vector<GaOptions>
+invalidOptions()
+{
+    std::vector<GaOptions> bad(4, smallGa());
+    bad[0].population = 1;
+    bad[1].generations = 0;
+    bad[2].prior_individuals = {{1400.0}, {}};
+    // The baseline, the 1600/1800 prior and 8 of the 9 per-level
+    // priors fill a population of 10 before any warm-start prior.
+    bad[3].population = 10;
+    bad[3].prior_individuals = {{}};
+    return bad;
+}
+
 TEST(GaOptionsTest, InvalidOptionsThrow)
 {
-    TinyFixture fixture(4);
-    GaOptions bad = smallGa();
-    bad.population = 1;
-    EXPECT_THROW(searchStrategy(*fixture.evaluator, fixture.stages, bad),
-                 std::invalid_argument);
-    bad = smallGa();
-    bad.generations = 0;
-    EXPECT_THROW(searchStrategy(*fixture.evaluator, fixture.stages, bad),
+    // One stage (9 genomes) routes to enumeration at any valid budget,
+    // eight stages (9^8 genomes) to the GA at this one.
+    for (int stage_count : {1, 8}) {
+        TinyFixture fixture(stage_count);
+        for (const GaOptions &bad : invalidOptions()) {
+            EXPECT_THROW(
+                searchStrategy(*fixture.evaluator, fixture.stages, bad),
+                std::invalid_argument)
+                << stage_count;
+            EXPECT_THROW(
+                geneticSearch(*fixture.evaluator, fixture.stages, bad),
+                std::invalid_argument);
+            EXPECT_THROW(
+                exhaustiveSearch(*fixture.evaluator, fixture.stages, bad),
+                std::invalid_argument);
+        }
+    }
+}
+
+TEST(GaOptionsTest, EmptyPriorThrowsEvenWhenThePopulationIsFull)
+{
+    // Two stages, 81 genomes, over a budget of 10 x 40: the GA route.
+    TinyFixture fixture(2);
+    GaOptions full = invalidOptions()[3];
+    ASSERT_TRUE(full.multi_level_priors);
+    EXPECT_THROW(searchStrategy(*fixture.evaluator, fixture.stages, full),
                  std::invalid_argument);
 }
 
 TEST(GaOptionsTest, StageMismatchThrows)
 {
-    TinyFixture fixture(4);
-    std::vector<Stage> wrong(fixture.stages.begin(),
-                             fixture.stages.end() - 1);
-    EXPECT_THROW(
-        searchStrategy(*fixture.evaluator, wrong, smallGa()),
-        std::invalid_argument);
+    for (int stage_count : {1, 8}) {
+        TinyFixture fixture(stage_count);
+        std::vector<Stage> wrong(fixture.stages.begin(),
+                                 fixture.stages.end() - 1);
+        EXPECT_THROW(searchStrategy(*fixture.evaluator, wrong, smallGa()),
+                     std::invalid_argument)
+            << stage_count;
+        EXPECT_THROW(geneticSearch(*fixture.evaluator, wrong, smallGa()),
+                     std::invalid_argument);
+        EXPECT_THROW(exhaustiveSearch(*fixture.evaluator, wrong, smallGa()),
+                     std::invalid_argument);
+    }
+}
+
+/**
+ * Run searchStrategy at @p population x @p generations and report
+ * whether it took the GA route: the GA scores generation 0 through
+ * parallel_for, enumeration never calls it.
+ */
+bool
+routesToGa(const TinyFixture &fixture, int population, int generations)
+{
+    GaOptions options = smallGa();
+    options.population = population;
+    options.generations = generations;
+    std::size_t calls = 0;
+    options.parallel_for = [&calls](
+                               std::size_t count,
+                               const std::function<void(std::size_t)> &fn) {
+        ++calls;
+        for (std::size_t i = 0; i < count; ++i)
+            fn(i);
+    };
+    searchStrategy(*fixture.evaluator, fixture.stages, options);
+    return calls > 0;
+}
+
+TEST(SearchRouting, EnumeratesExactlyWhenTheSpaceFitsTheBudget)
+{
+    TinyFixture four(4); // 9^4 = 6,561 genomes
+    EXPECT_FALSE(routesToGa(four, 81, 81));
+    EXPECT_TRUE(routesToGa(four, 82, 80));
+    // 9^1326 overflows any integer; the route is still the GA.
+    TinyFixture gpt3_sized(1326);
+    EXPECT_TRUE(routesToGa(gpt3_sized, 200, 1));
+}
+
+TEST(SearchRouting, EnumeratedResultIsTheExhaustiveSearch)
+{
+    TinyFixture four(4);
+    GaOptions options = smallGa();
+    options.population = 81;
+    options.generations = 81;
+    GaResult routed = searchStrategy(*four.evaluator, four.stages, options);
+    GaResult exhaustive =
+        exhaustiveSearch(*four.evaluator, four.stages, options);
+    EXPECT_EQ(routed.best_genome, exhaustive.best_genome);
+    EXPECT_EQ(routed.best_score, exhaustive.best_score);
+    EXPECT_EQ(routed.score_history,
+              std::vector<double>(81, exhaustive.best_score));
+    EXPECT_EQ(routed.converged_at, 0);
+    EXPECT_EQ(routed.pre_refine_score, routed.best_score);
+    // The obvious optimum of the fixture.
+    for (std::size_t s = 0; s < four.stages.size(); ++s) {
+        if (four.stages[s].high_frequency)
+            EXPECT_GE(routed.best_mhz[s], 1700.0) << s;
+        else
+            EXPECT_LE(routed.best_mhz[s], 1100.0) << s;
+    }
+}
+
+TEST(SearchRouting, EnumerationVisitsEveryPointOfA256PointTable)
+{
+    // A 2 MHz step from 1000 to 1510 MHz: 256 points, so the top gene
+    // is 255 and the odometer must stop without wrapping it.
+    npu::FreqTableConfig fine;
+    fine.step_mhz = 2.0;
+    fine.max_mhz = 1510.0;
+    TinyFixture one(1, fine);
+    ASSERT_EQ(one.evaluator->freqCount(), 256u);
+    GaOptions options = smallGa();
+    GaResult result = exhaustiveSearch(*one.evaluator, one.stages, options);
+
+    double per_lb = 1e-6 / result.baseline_eval.seconds
+        * (1.0 - options.perf_loss_target);
+    double best = -1.0;
+    for (std::size_t f = 0; f < 256; ++f) {
+        best = std::max(best, strategyScore(one.evaluator->evaluate(
+                                                {static_cast<std::uint8_t>(f)}),
+                                            per_lb));
+    }
+    EXPECT_EQ(result.best_score, best);
 }
 
 } // namespace

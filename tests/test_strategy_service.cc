@@ -505,7 +505,8 @@ TEST(StrategyService, ShedsLikelyColdWorkUnderSustainedQueueing)
     service.submit(warm).get();
 
     // A runs, B waits A's whole duration: when the worker picks B up
-    // the sojourn EWMA rises far above the 1 ms target.
+    // the sojourn EWMA rises far above the 1 ms target.  C queues
+    // behind B; it is admitted while the EWMA is still low.
     StrategyRequest slow_a;
     slow_a.workload = testWorkload(512);
     slow_a.use_cache = false;
@@ -516,19 +517,19 @@ TEST(StrategyService, ShedsLikelyColdWorkUnderSustainedQueueing)
     slow_b.seed = 102;
     Admission b = service.trySubmit(slow_b);
     ASSERT_TRUE(b.accepted());
+    StrategyRequest slow_c = slow_a;
+    slow_c.seed = 103;
+    Admission c = service.trySubmit(slow_c);
+    ASSERT_TRUE(c.accepted());
     for (int spin = 0;
          spin < 1000 && service.stats().sojourn_ewma_seconds < 0.005;
          ++spin)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     ASSERT_GT(service.stats().sojourn_ewma_seconds, 0.005);
 
-    // While slow_b's search occupies the only worker its parallelFor
-    // helpers sit in the shared pool queue, so the shedder sees a
-    // backlog for the whole run.  Wait for it to appear (the first
-    // generation enqueues within the run's opening milliseconds)...
-    for (int spin = 0; spin < 1000 && service.stats().queue_depth == 0;
-         ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // While slow_b's search occupies the only worker, slow_c waits in
+    // the pool queue, so the shedder sees a backlog for the whole run
+    // (a one-stage search is enumerated and queues no GA helpers)...
     ASSERT_GT(service.stats().queue_depth, 0u);
 
     // ...then a cold request is shed early, while the likely cache
@@ -542,6 +543,7 @@ TEST(StrategyService, ShedsLikelyColdWorkUnderSustainedQueueing)
     ASSERT_TRUE(hit.accepted());
 
     b.future->get();
+    c.future->get();
     StrategyResponse warmed = hit.future->get();
     EXPECT_EQ(warmed.provenance, Provenance::ExactHit);
 
