@@ -701,7 +701,6 @@ checkServiceCacheEquivalence(const models::Workload &workload,
     options.pipeline.ga.generations = 9;
     options.pipeline.ga.refine_sweeps = 2;
     options.workers = 1;
-    options.parallel_fitness = false;
 
     serve::StrategyService service(options);
     serve::StrategyRequest request;

@@ -56,9 +56,6 @@ genomeFromPrior(const std::vector<double> &prior_mhz, std::size_t n,
     }
 }
 
-/** Dirty rows per evaluation block handed to GaOptions::parallel_for. */
-constexpr std::size_t kRowsPerBlock = 16;
-
 /** The checks both routes share, made before either runs. */
 void
 validate(const StageEvaluator &evaluator, const std::vector<Stage> &stages,
@@ -167,34 +164,12 @@ evolve(const StageEvaluator &evaluator, const std::vector<Stage> &stages,
     result.score_history.reserve(
         static_cast<std::size_t>(options.generations));
 
-    // Score the dirty rows block by block, in parallel when a loop is
-    // injected.  Each block writes only its own rows' slots; the
-    // best-individual reduction below runs serially in ascending row
-    // order, so selection is independent of evaluation order and
-    // thread count.
-    const std::function<void(std::size_t)> scoreBlock =
-        [&](std::size_t block) {
-            std::span<const std::size_t> rows =
-                std::span(dirty).subspan(
-                    block * kRowsPerBlock,
-                    std::min(kRowsPerBlock,
-                             dirty.size() - block * kRowsPerBlock));
-            evaluator.evaluate(
-                std::span<const std::uint8_t>(population.data(), pop * n),
-                rows, evals);
-            for (std::size_t i : rows)
-                scores[i] = strategyScore(evals[i], per_lb);
-        };
-
     for (int gen = 0; gen < options.generations; ++gen) {
-        std::size_t blocks = (dirty.size() + kRowsPerBlock - 1)
-            / kRowsPerBlock;
-        if (options.parallel_for && blocks > 0) {
-            options.parallel_for(blocks, scoreBlock);
-        } else {
-            for (std::size_t b = 0; b < blocks; ++b)
-                scoreBlock(b);
-        }
+        evaluator.evaluate(
+            std::span<const std::uint8_t>(population.data(), pop * n),
+            dirty, evals);
+        for (std::size_t i : dirty)
+            scores[i] = strategyScore(evals[i], per_lb);
         for (std::size_t i = 0; i < pop; ++i) {
             if (scores[i] > result.best_score) {
                 result.best_score = scores[i];

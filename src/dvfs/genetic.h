@@ -24,7 +24,6 @@
 #define OPDVFS_DVFS_GENETIC_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/random.h"
@@ -33,20 +32,10 @@
 namespace opdvfs::dvfs {
 
 /**
- * Data-parallel index loop: run fn(0) .. fn(count - 1), each exactly
- * once, in any order, returning when all completed.  The strategy
- * service injects a thread-pool-backed implementation to score GA
- * populations concurrently; each index is one block of genomes.
- */
-using ParallelFor =
-    std::function<void(std::size_t count,
-                       const std::function<void(std::size_t)> &fn)>;
-
-/**
  * GA hyper-parameters (paper defaults from Sect. 7.4).  An enumerated
  * search reads only `perf_loss_target`, and `population` and
  * `generations` for its budget and history; the priors, `seed`, the
- * breeding rates, `refine_sweeps` and `parallel_for` do not apply.
+ * breeding rates and `refine_sweeps` do not apply.
  */
 struct GaOptions
 {
@@ -86,18 +75,6 @@ struct GaOptions
      * either route.
      */
     std::vector<std::vector<double>> prior_individuals;
-    /**
-     * When set, population fitness is scored through this loop.  Each
-     * index is one block of up to 16 rows that need scoring; elites
-     * and children identical to the row they were copied from inherit
-     * its score instead, and a generation in which no row needs
-     * scoring makes no call.  A block writes only its own rows' batched
-     * StageEvaluator::evaluate + strategyScore results and the best
-     * individual is picked serially afterwards, so the result is
-     * bit-identical to the serial path regardless of evaluation order
-     * or thread count.
-     */
-    ParallelFor parallel_for;
 };
 
 /**

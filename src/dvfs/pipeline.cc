@@ -136,21 +136,6 @@ EnergyPipeline::optimize(const models::Workload &workload) const
     dvfs_options.warmup_seconds = options_.warmup_seconds;
     dvfs_options.seed = options_.seed * 131 + 7;
     result.dvfs = runner.run(workload, dvfs_options, result.plan.triggers);
-
-    // --- optional guarded assessment (faults honoured) --------------------
-    if (options_.assess_guarded) {
-        GuardedRunOptions guarded_options;
-        guarded_options.guard = options_.guard;
-        guarded_options.guard.perf_loss_target = options_.perf_loss_target;
-        guarded_options.iterations = options_.guarded_iterations;
-        guarded_options.run = dvfs_options;
-        guarded_options.run.initial_mhz = result.plan.initial_mhz;
-        result.guarded = runGuarded(options_.chip, workload,
-                                    result.plan.triggers,
-                                    result.baseline.iteration_seconds,
-                                    guarded_options);
-    }
-
     return result;
 }
 

@@ -20,7 +20,6 @@
 
 #include "dvfs/executor.h"
 #include "dvfs/genetic.h"
-#include "dvfs/guard.h"
 #include "dvfs/preprocess.h"
 #include "dvfs/strategy_io.h"
 #include "models/workload.h"
@@ -59,16 +58,6 @@ struct PipelineOptions
     Tick profile_sample_period = 2 * kTicksPerMs;
     /** Reuse previously calibrated constants (skip offline pass). */
     std::optional<power::CalibratedConstants> constants;
-    /**
-     * Also assess the generated strategy under the runtime guard
-     * (multi-iteration run honouring `chip.faults`).  Off by default:
-     * the classic pipeline path stays bit-for-bit unchanged.
-     */
-    bool assess_guarded = false;
-    /** Guard tuning for the assessment run. */
-    GuardOptions guard;
-    /** Measured iterations of the guarded assessment. */
-    int guarded_iterations = 12;
     std::uint64_t seed = 1;
 };
 
@@ -100,8 +89,6 @@ struct PipelineResult
     PreprocessResult prep;
     GaResult ga;
     ExecutionPlan plan;
-    /** Guarded multi-iteration assessment (when `assess_guarded`). */
-    std::optional<GuardedRunResult> guarded;
     /**
      * The fitted per-operator performance models and per-operator
      * power corrections the search ran on.  Exposed so downstream

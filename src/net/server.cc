@@ -108,30 +108,17 @@ StrategyServer::~StrategyServer()
 }
 
 int
-StrategyServer::openListener(bool reuse_port)
+StrategyServer::openListener()
 {
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
         throw std::runtime_error("net: socket() failed");
     int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (reuse_port) {
-#ifdef SO_REUSEPORT
-        if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one))
-            < 0) {
-            ::close(fd);
-            throw std::runtime_error("net: SO_REUSEPORT unavailable");
-        }
-#else
-        ::close(fd);
-        throw std::runtime_error("net: SO_REUSEPORT unavailable");
-#endif
-    }
 
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
-    // Later listeners re-bind the port the first one resolved.
-    addr.sin_port = htons(bound_port_ != 0 ? bound_port_ : options_.port);
+    addr.sin_port = htons(options_.port);
     if (::inet_pton(AF_INET, options_.bind_address.c_str(),
                     &addr.sin_addr) != 1) {
         ::close(fd);
@@ -145,15 +132,13 @@ StrategyServer::openListener(bool reuse_port)
                                  + options_.bind_address + ":"
                                  + std::to_string(options_.port));
     }
-    if (bound_port_ == 0) {
-        socklen_t addr_len = sizeof(addr);
-        if (::getsockname(fd, reinterpret_cast<sockaddr *>(&addr),
-                          &addr_len) < 0) {
-            ::close(fd);
-            throw std::runtime_error("net: getsockname() failed");
-        }
-        bound_port_ = ntohs(addr.sin_port);
+    socklen_t addr_len = sizeof(addr);
+    if (::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &addr_len)
+        < 0) {
+        ::close(fd);
+        throw std::runtime_error("net: getsockname() failed");
     }
+    bound_port_ = ntohs(addr.sin_port);
     try {
         setNonBlocking(fd);
     } catch (...) {
@@ -191,23 +176,9 @@ StrategyServer::start()
     }
 
     try {
-        // Listener layout: one SO_REUSEPORT listener per reactor when
-        // asked for (and available), otherwise a single listener on
-        // reactor 0, which deals connections round-robin.
-        reuse_port_active_ = false;
-        if (options_.reuse_port && count > 1) {
-            try {
-                for (auto &reactor : reactors_)
-                    reactor->listen_fd = openListener(true);
-                reuse_port_active_ = true;
-            } catch (const std::runtime_error &) {
-                for (auto &reactor : reactors_)
-                    closeFd(reactor->listen_fd);
-                bound_port_ = 0;
-            }
-        }
-        if (!reuse_port_active_)
-            reactors_[0]->listen_fd = openListener(false);
+        // One listener, on reactor 0, which deals connections
+        // round-robin.
+        reactors_[0]->listen_fd = openListener();
 
         for (auto &reactor : reactors_) {
             int pipe_fds[2];
@@ -453,11 +424,10 @@ StrategyServer::acceptPending(Reactor &reactor)
         int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         total_open_.fetch_add(1, std::memory_order_relaxed);
-        // In reuse-port mode the kernel already picked this reactor;
-        // otherwise reactor 0 deals sockets round-robin (deterministic:
+        // Reactor 0 deals sockets round-robin (deterministic:
         // connection k lands on reactor k mod N).
         Reactor *target = &reactor;
-        if (!reuse_port_active_ && reactors_.size() > 1) {
+        if (reactors_.size() > 1) {
             target = reactors_[accept_robin_ % reactors_.size()].get();
             accept_robin_++;
         }

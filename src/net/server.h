@@ -11,12 +11,9 @@
  * encode off the loop, push framed bytes onto the owning reactor's
  * queue and wake it through that reactor's self-pipe.
  *
- * Connections are distributed at accept time.  By default reactor 0
- * owns the listener and hands accepted sockets round-robin to its
- * peers (deterministic — tests assert the distribution); with
- * `ServerOptions::reuse_port` each reactor binds its own
- * SO_REUSEPORT listener and the kernel spreads connections by flow
- * hash (no handoff hop, preferred for benchmarks).
+ * Connections are distributed at accept time: reactor 0 owns the one
+ * listener and hands accepted sockets round-robin to its peers
+ * (deterministic — tests assert the distribution).
  *
  * Exact cache hits are served directly on the reactor from the
  * service's one strategy cache (serve/strategy_cache.h): each reactor
@@ -104,15 +101,6 @@ struct ServerOptions
     std::uint16_t port = 0;
     /** Event-loop threads, each owning its connections' sockets. */
     std::size_t reactor_threads = 1;
-    /**
-     * With more than one reactor, bind one SO_REUSEPORT listener per
-     * reactor and let the kernel distribute connections by flow hash
-     * (no cross-thread handoff).  Off: reactor 0 owns the single
-     * listener and deals accepted sockets round-robin — deterministic,
-     * which the reactor tests rely on.  Falls back to round-robin
-     * where SO_REUSEPORT is unavailable.
-     */
-    bool reuse_port = false;
     /**
      * Serve exact cache hits directly on the reactor from the cache
      * entries' exact-hit frames (see the file comment).  Off: every
@@ -347,8 +335,7 @@ class StrategyServer
     struct Reactor
     {
         std::size_t index = 0;
-        /** Listener owned by this reactor: every reactor in
-         *  reuse-port mode, reactor 0 otherwise, else -1. */
+        /** The listener on reactor 0, -1 on every other reactor. */
         int listen_fd = -1;
         int wake_read_fd = -1;
         int wake_write_fd = -1;
@@ -394,9 +381,8 @@ class StrategyServer
     void drainCompletions(Reactor &reactor);
     void closeConnection(Reactor &reactor, std::uint64_t id);
     void wakeReactor(Reactor &reactor);
-    /** Open, bind and listen one socket; fills bound_port_ on the
-     *  first bind when options_.port is 0. */
-    int openListener(bool reuse_port);
+    /** Open, bind and listen the socket; fills bound_port_. */
+    int openListener();
     void teardownPartialStart();
     double loopNow() const;
 
@@ -413,8 +399,6 @@ class StrategyServer
     std::uint16_t bound_port_ = 0;
     /** Loop-clock timestamp of start(); statsText reports uptime. */
     double started_at_ = 0.0;
-    /** True when every reactor owns a SO_REUSEPORT listener. */
-    bool reuse_port_active_ = false;
 
     /** 0 running, 1 stop requested, 2 stopped. */
     std::atomic<int> phase_{0};

@@ -492,13 +492,6 @@ StrategyService::computeFresh(const StrategyRequest &request,
     dvfs::PipelineOptions pipeline_options = options_.pipeline;
     pipeline_options.seed = request.seed;
     pipeline_options.perf_loss_target = request.perf_loss_target;
-    if (options_.parallel_fitness) {
-        pipeline_options.ga.parallel_for =
-            [this](std::size_t count,
-                   const std::function<void(std::size_t)> &fn) {
-                pool_.parallelFor(count, fn);
-            };
-    }
 
     int full_generations = pipeline_options.ga.generations;
     if (request.use_cache && request.allow_warm_start) {
@@ -731,13 +724,6 @@ StrategyService::runRefine(const StrategyRequest &request,
         1, static_cast<int>(
                std::lround(options_.pipeline.ga.generations
                            * options_.refine_generation_fraction)));
-    if (options_.parallel_fitness) {
-        ga_options.parallel_for =
-            [this](std::size_t count,
-                   const std::function<void(std::size_t)> &fn) {
-                pool_.parallelFor(count, fn);
-            };
-    }
     dvfs::GaResult ga =
         dvfs::searchStrategy(evaluator, prepared.prep.stages, ga_options);
 

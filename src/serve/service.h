@@ -16,12 +16,12 @@
  *        (prior individual + reduced generation budget)
  *     -> otherwise run the full pipeline cold
  *
- * GA fitness evaluation runs data-parallel on the same pool; scoring
- * is reduced serially by index, so every path is bit-deterministic:
- * the same request + seed yields the same GaResult regardless of
- * worker count (cold and exact/coalesced paths; a warm-started result
- * additionally depends on which donor the cache held, which the
- * response records via provenance + similarity).
+ * Each request's search runs serially on the worker that picked the
+ * request up, and nothing else joins in, so every path is
+ * bit-deterministic: the same request + seed yields the same GaResult
+ * regardless of worker count (cold and exact/coalesced paths; a
+ * warm-started result additionally depends on which donor the cache
+ * held, which the response records via provenance + similarity).
  */
 
 #ifndef OPDVFS_SERVE_SERVICE_H
@@ -158,8 +158,6 @@ struct ServiceOptions
     double warm_similarity = 0.90;
     /** Fraction of the full generation budget a warm-started GA runs. */
     double warm_generation_fraction = 1.0 / 3.0;
-    /** Score GA populations on the pool (off: serial fitness). */
-    bool parallel_fitness = true;
     /**
      * Optional cross-shard donor lookup, consulted only when a cold
      * request has no local donor (exact hit, coalesce and local

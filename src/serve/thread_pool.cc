@@ -1,53 +1,6 @@
 #include "serve/thread_pool.h"
 
-#include <atomic>
-
 namespace opdvfs::serve {
-
-/**
- * Shared state of one parallelFor call.  Participants claim indices
- * from `next` until exhausted; `done` counts completed indices so the
- * caller can wait for stragglers claimed by pool workers.
- */
-struct ThreadPool::ForLoop
-{
-    const std::function<void(std::size_t)> &fn;
-    std::size_t count;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::atomic<bool> failed{false};
-    std::mutex mutex;
-    std::condition_variable finished;
-    std::exception_ptr error;
-
-    explicit ForLoop(const std::function<void(std::size_t)> &f,
-                     std::size_t n)
-        : fn(f), count(n)
-    {}
-
-    /** Claim and run indices until none remain. */
-    void
-    drain()
-    {
-        for (;;) {
-            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count)
-                return;
-            try {
-                if (!failed.load(std::memory_order_acquire))
-                    fn(i); // best-effort skip after a failure
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (!failed.exchange(true, std::memory_order_acq_rel))
-                    error = std::current_exception();
-            }
-            if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
-                std::lock_guard<std::mutex> lock(mutex);
-                finished.notify_all();
-            }
-        }
-    }
-};
 
 ThreadPool::ThreadPool(std::size_t threads)
 {
@@ -86,31 +39,6 @@ ThreadPool::queueDepth() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return tasks_.size();
-}
-
-void
-ThreadPool::parallelFor(std::size_t count,
-                        const std::function<void(std::size_t)> &fn)
-{
-    if (count == 0)
-        return;
-    auto loop = std::make_shared<ForLoop>(fn, count);
-
-    // Helpers are pure accelerators: each drains whatever indices are
-    // left when it gets scheduled and returns immediately otherwise,
-    // so completion never depends on a pool thread being free.
-    std::size_t helpers = std::min(workers_.size(), count - 1);
-    for (std::size_t h = 0; h < helpers; ++h)
-        submit([loop] { loop->drain(); });
-
-    loop->drain();
-
-    std::unique_lock<std::mutex> lock(loop->mutex);
-    loop->finished.wait(lock, [&loop] {
-        return loop->done.load(std::memory_order_acquire) >= loop->count;
-    });
-    if (loop->error)
-        std::rethrow_exception(loop->error);
 }
 
 void

@@ -2,21 +2,10 @@
  * @file
  * A fixed-size worker pool for the strategy service.
  *
- * Two entry points:
- *
- *  - submit(): enqueue an independent task (one strategy request).
- *  - parallelFor(): data-parallel index loop.  The *calling* thread
- *    participates and the loop completes even if every pool thread is
- *    busy — pool workers only accelerate it.  That property lets GA
- *    fitness evaluation run on the same pool that runs the requests
- *    without any risk of starvation deadlock (a request executing on
- *    the pool can safely issue nested parallelFor calls).
- *
- * Determinism: parallelFor assigns work by index into caller-owned
- * storage; it guarantees every index runs exactly once but not in any
- * particular order or thread, so callers must keep per-index work
- * independent (the GA scores into a vector by index and reduces
- * serially afterwards).
+ * submit() enqueues an independent task: one strategy request or one
+ * background refinement.  A task runs start to finish on the worker
+ * that dequeued it, and nothing else joins in, so queueDepth() counts
+ * only requests and refinements waiting for a worker.
  */
 
 #ifndef OPDVFS_SERVE_THREAD_POOL_H
@@ -25,7 +14,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -59,19 +47,7 @@ class ThreadPool
     /** Tasks enqueued but not yet started. */
     std::size_t queueDepth() const;
 
-    /**
-     * Run fn(0) .. fn(count - 1), each exactly once, distributing
-     * indices over the pool *and* the calling thread; returns when all
-     * have completed.  The first exception thrown by any index is
-     * rethrown in the caller (remaining indices are still claimed and
-     * skipped).
-     */
-    void parallelFor(std::size_t count,
-                     const std::function<void(std::size_t)> &fn);
-
   private:
-    struct ForLoop;
-
     void workerMain();
 
     mutable std::mutex mutex_;

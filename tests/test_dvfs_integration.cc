@@ -246,34 +246,6 @@ TEST(GeneticSearch, DeterministicBySeed)
     EXPECT_DOUBLE_EQ(a.best_score, b.best_score);
 }
 
-TEST(GeneticSearch, ParallelFitnessMatchesSerialBitExactly)
-{
-    // The determinism contract behind service-side parallel scoring:
-    // evaluation order must not affect selection, so any parallel_for
-    // (even a reversed one) reproduces the serial search exactly.
-    Harness &h = harness();
-    power::PowerModel pm = h.powerModel();
-    StageEvaluator evaluator(h.prep.stages, h.perf_repo, pm, h.op_power,
-                             h.table);
-    GaOptions options;
-    options.population = 30;
-    options.generations = 20;
-    options.seed = 5;
-    GaResult serial = geneticSearch(evaluator, h.prep.stages, options);
-
-    GaOptions reversed = options;
-    reversed.parallel_for = [](std::size_t count,
-                               const std::function<void(std::size_t)> &fn) {
-        for (std::size_t i = count; i-- > 0;)
-            fn(i);
-    };
-    GaResult backwards = geneticSearch(evaluator, h.prep.stages, reversed);
-    EXPECT_EQ(backwards.best_genome, serial.best_genome);
-    EXPECT_DOUBLE_EQ(backwards.best_score, serial.best_score);
-    EXPECT_EQ(backwards.score_history, serial.score_history);
-    EXPECT_EQ(backwards.converged_at, serial.converged_at);
-}
-
 TEST(GeneticSearch, PriorIndividualSeedsThePopulation)
 {
     // A warm-start prior at least as good as the cold search's answer

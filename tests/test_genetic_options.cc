@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "dvfs/evaluator.h"
@@ -155,35 +158,6 @@ TEST(GaOptionsTest, RefinementNeverHurts)
     EXPECT_GE(result.best_score, result.pre_refine_score);
 }
 
-TEST(GaOptionsTest, ParallelForGetsBlocksOfRowsThatNeedScoring)
-{
-    // Generation 0 scores all 40 rows: three blocks of at most 16.
-    // With every row an elite, later generations inherit every score
-    // and make no call at all.
-    TinyFixture fixture(6);
-    GaOptions options = smallGa();
-    options.population = 40;
-    options.elite = 40;
-    options.generations = 5;
-    std::vector<std::size_t> calls;
-    options.parallel_for = [&calls](
-                               std::size_t count,
-                               const std::function<void(std::size_t)> &fn) {
-        calls.push_back(count);
-        for (std::size_t i = 0; i < count; ++i)
-            fn(i);
-    };
-    GaResult blocked =
-        geneticSearch(*fixture.evaluator, fixture.stages, options);
-    EXPECT_EQ(calls, std::vector<std::size_t>{3});
-
-    options.parallel_for = nullptr;
-    GaResult serial =
-        geneticSearch(*fixture.evaluator, fixture.stages, options);
-    EXPECT_EQ(blocked.best_genome, serial.best_genome);
-    EXPECT_EQ(blocked.score_history, serial.score_history);
-}
-
 /** Invalid options of every kind the searches reject. */
 std::vector<GaOptions>
 invalidOptions()
@@ -246,37 +220,78 @@ TEST(GaOptionsTest, StageMismatchThrows)
     }
 }
 
-/**
- * Run searchStrategy at @p population x @p generations and report
- * whether it took the GA route: the GA scores generation 0 through
- * parallel_for, enumeration never calls it.
- */
+/** True when two results agree in every field, bit for bit. */
 bool
-routesToGa(const TinyFixture &fixture, int population, int generations)
+sameResult(const GaResult &a, const GaResult &b)
+{
+    auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    auto sameEval = [&bits](const StrategyEvaluation &x,
+                            const StrategyEvaluation &y) {
+        return bits(x.seconds) == bits(y.seconds)
+            && bits(x.aicore_joules) == bits(y.aicore_joules)
+            && bits(x.soc_joules) == bits(y.soc_joules)
+            && bits(x.aicore_watts) == bits(y.aicore_watts)
+            && bits(x.soc_watts) == bits(y.soc_watts)
+            && bits(x.delta_t) == bits(y.delta_t);
+    };
+    auto sameDoubles = [&bits](const std::vector<double> &x,
+                               const std::vector<double> &y) {
+        return std::ranges::equal(x, y, {}, bits, bits);
+    };
+    return a.best_genome == b.best_genome
+        && sameDoubles(a.best_mhz, b.best_mhz)
+        && bits(a.best_score) == bits(b.best_score)
+        && sameEval(a.best_eval, b.best_eval)
+        && sameEval(a.baseline_eval, b.baseline_eval)
+        && sameDoubles(a.score_history, b.score_history)
+        && a.converged_at == b.converged_at
+        && bits(a.pre_refine_score) == bits(b.pre_refine_score);
+}
+
+/**
+ * GA options at @p population x @p generations without the per-level
+ * priors, so the GA does not start from the fixture's optimum and its
+ * result differs from the enumeration's (each case asserts it).
+ */
+GaOptions
+routingGa(int population, int generations)
 {
     GaOptions options = smallGa();
     options.population = population;
     options.generations = generations;
-    std::size_t calls = 0;
-    options.parallel_for = [&calls](
-                               std::size_t count,
-                               const std::function<void(std::size_t)> &fn) {
-        ++calls;
-        for (std::size_t i = 0; i < count; ++i)
-            fn(i);
-    };
-    searchStrategy(*fixture.evaluator, fixture.stages, options);
-    return calls > 0;
+    options.multi_level_priors = false;
+    return options;
 }
 
 TEST(SearchRouting, EnumeratesExactlyWhenTheSpaceFitsTheBudget)
 {
-    TinyFixture four(4); // 9^4 = 6,561 genomes
-    EXPECT_FALSE(routesToGa(four, 81, 81));
-    EXPECT_TRUE(routesToGa(four, 82, 80));
-    // 9^1326 overflows any integer; the route is still the GA.
+    // 9^4 = 6,561 genomes: within 81 x 81, past 82 x 80.
+    TinyFixture four(4);
+    for (auto [population, generations, enumerates] :
+         {std::tuple{81, 81, true}, std::tuple{82, 80, false}}) {
+        SCOPED_TRACE(std::to_string(population) + " x "
+                     + std::to_string(generations));
+        GaOptions options = routingGa(population, generations);
+        GaResult genetic = geneticSearch(*four.evaluator, four.stages, options);
+        GaResult exhaustive =
+            exhaustiveSearch(*four.evaluator, four.stages, options);
+        ASSERT_FALSE(sameResult(genetic, exhaustive));
+        GaResult routed = searchStrategy(*four.evaluator, four.stages, options);
+        EXPECT_TRUE(sameResult(routed, enumerates ? exhaustive : genetic));
+    }
+
+    // 9^1326 overflows any integer; the route is still the GA.  Its
+    // refinement sweep lifts the result above its pre-refine score,
+    // which an enumerated result never reports.
     TinyFixture gpt3_sized(1326);
-    EXPECT_TRUE(routesToGa(gpt3_sized, 200, 1));
+    GaOptions options = routingGa(200, 1);
+    options.refine_sweeps = 1;
+    GaResult genetic =
+        geneticSearch(*gpt3_sized.evaluator, gpt3_sized.stages, options);
+    ASSERT_GT(genetic.best_score, genetic.pre_refine_score);
+    EXPECT_TRUE(sameResult(
+        searchStrategy(*gpt3_sized.evaluator, gpt3_sized.stages, options),
+        genetic));
 }
 
 TEST(SearchRouting, EnumeratedResultIsTheExhaustiveSearch)

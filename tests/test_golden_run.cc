@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -559,25 +558,16 @@ struct Observed
                                               servedTransformer(memory, 300,
                                                                 768)));
 
-        // BERT scored through an injected loop that runs its indices
-        // backwards: evaluation order must not reach the result.
-        dvfs::PipelineOptions reversed = table3;
-        reversed.warmup_seconds = 2.0;
-        reversed.seed = 3;
-        reversed.ga.parallel_for =
-            [](std::size_t count,
-               const std::function<void(std::size_t)> &fn) {
-                for (std::size_t i = count; i-- > 0;)
-                    fn(i);
-            };
-        values.emplace_back("BERT+reversed+search",
-                            hashSearch(reversed, bert));
+        // BERT at the Table 3 GA options, past the enumeration budget.
+        dvfs::PipelineOptions bert_search = table3;
+        bert_search.warmup_seconds = 2.0;
+        bert_search.seed = 3;
+        values.emplace_back("BERT+search", hashSearch(bert_search, bert));
 
         // An odd number of children per generation (31 - 2 elites), so
         // the last pair's second child finds the generation full; its
         // mutation draws still shape every later generation.
-        dvfs::PipelineOptions odd = reversed;
-        odd.ga.parallel_for = nullptr;
+        dvfs::PipelineOptions odd = bert_search;
         odd.ga.population = 31;
         odd.ga.generations = 60;
         values.emplace_back("BERT+odd-population+search",
@@ -615,7 +605,7 @@ const GoldenCase kGolden[] = {
     {"GPT3+table3+search", 0xb56dd3c044ca50c5ULL},
     {"Transformer+prior+search", 0xc2cf9cef74929fd8ULL},
     {"Transformer+prior+ga", 0xc2cf9cef74929fd8ULL},
-    {"BERT+reversed+search", 0x37e4884f113f79d3ULL},
+    {"BERT+search", 0x37e4884f113f79d3ULL},
     {"BERT+odd-population+search", 0xb0f5205d8fc01945ULL},
 };
 

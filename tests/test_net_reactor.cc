@@ -6,9 +6,9 @@
  * (a demoted epoch is never served as exact, and the fast path
  * repopulates at the new epoch), graceful stop() draining all
  * reactors, and the idle-reaping / payload-error-streak contracts
- * holding per reactor.  Everything runs in accept-and-distribute mode
- * (connection k lands on reactor k mod N) so distribution assertions
- * are exact, plus one SO_REUSEPORT smoke case where the kernel picks.
+ * holding per reactor.  Reactor 0 accepts and deals connections
+ * round-robin (connection k lands on reactor k mod N), so distribution
+ * assertions are exact.
  *
  * The fast path serves straight from the service's cache, so its
  * answer follows the cache entry: a refined first contact is answered
@@ -427,27 +427,6 @@ TEST(NetReactor, IdleReapingAndPayloadStreakHoldPerReactor)
         EXPECT_EQ(responses, 2u);
     }
     EXPECT_GE(server.stats().responses_malformed, 4u);
-    server.stop();
-}
-
-TEST(NetReactor, ReusePortModeServesColdAndHit)
-{
-    serve::StrategyService service(fastOptions(2));
-    ServerOptions server_options;
-    server_options.reactor_threads = 2;
-    server_options.reuse_port = true;
-    StrategyServer server(service, server_options);
-    server.start();
-
-    // The kernel picks the reactor per connection (not asserted);
-    // both paths must serve regardless of which loop owns the socket.
-    StrategyClient client("127.0.0.1", server.port());
-    WireRequest request = testWireRequest(256, 9);
-    EXPECT_EQ(client.call(request).provenance, serve::Provenance::Cold);
-    client.disconnect();
-    EXPECT_EQ(client.call(request).provenance,
-              serve::Provenance::ExactHit);
-    EXPECT_EQ(server.stats().responses_ok, 2u);
     server.stop();
 }
 

@@ -1,16 +1,12 @@
 /**
- * Thread-pool unit tests: task submission, the caller-participating
- * parallelFor (completion without free pool threads, exactly-once
- * index execution, exception propagation), and nested use from a pool
- * task — the pattern GA fitness evaluation relies on.
+ * Thread-pool unit tests: task submission, inline execution with zero
+ * workers, and destruction running every pending task.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
-#include <numeric>
-#include <vector>
 
 #include "serve/thread_pool.h"
 
@@ -32,76 +28,6 @@ TEST(ThreadPool, ZeroWorkersRunInline)
     bool ran = false;
     pool.submit([&ran] { ran = true; });
     EXPECT_TRUE(ran); // inline: completed before submit returned
-    std::vector<int> hits(8, 0);
-    pool.parallelFor(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
-    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 8);
-}
-
-TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce)
-{
-    ThreadPool pool(4);
-    constexpr std::size_t kCount = 1000;
-    std::vector<std::atomic<int>> hits(kCount);
-    pool.parallelFor(kCount, [&hits](std::size_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < kCount; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPool, ParallelForCompletesWhenAllWorkersAreBusy)
-{
-    // Saturate the single worker with a task that itself runs a
-    // parallelFor: the caller thread must drain the loop alone.
-    ThreadPool pool(1);
-    std::promise<long> done;
-    pool.submit([&pool, &done] {
-        std::vector<long> values(64, 0);
-        pool.parallelFor(values.size(), [&values](std::size_t i) {
-            values[i] = static_cast<long>(i);
-        });
-        done.set_value(
-            std::accumulate(values.begin(), values.end(), 0L));
-    });
-    EXPECT_EQ(done.get_future().get(), 64L * 63L / 2L);
-}
-
-TEST(ThreadPool, NestedParallelForFromPoolTasks)
-{
-    ThreadPool pool(3);
-    std::atomic<int> total{0};
-    std::vector<std::future<void>> finished;
-    for (int t = 0; t < 6; ++t) {
-        auto done = std::make_shared<std::promise<void>>();
-        finished.push_back(done->get_future());
-        pool.submit([&pool, &total, done] {
-            pool.parallelFor(50, [&total](std::size_t) {
-                total.fetch_add(1, std::memory_order_relaxed);
-            });
-            done->set_value();
-        });
-    }
-    for (auto &f : finished)
-        f.get();
-    EXPECT_EQ(total.load(), 6 * 50);
-}
-
-TEST(ThreadPool, ParallelForPropagatesTheFirstException)
-{
-    ThreadPool pool(2);
-    EXPECT_THROW(
-        pool.parallelFor(100,
-                         [](std::size_t i) {
-                             if (i == 17)
-                                 throw std::runtime_error("boom");
-                         }),
-        std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForZeroCountIsANoop)
-{
-    ThreadPool pool(2);
-    pool.parallelFor(0, [](std::size_t) { FAIL(); });
 }
 
 TEST(ThreadPool, DestructorDrainsPendingTasks)
