@@ -5,11 +5,24 @@
  * All stochastic behaviour in the library (measurement noise, genetic
  * algorithm, workload synthesis) flows through Rng instances seeded
  * explicitly, so every experiment is reproducible bit-for-bit.
+ *
+ * Every simulated op draws its profiler noise here, so the draws are a
+ * large share of a simulation's host time.  The engine is MT19937-64
+ * with the standard's output sequence, and uniform, chance and gaussian
+ * are spelled out exactly as libstdc++ computes them over that engine,
+ * so outputs stay what the std engine and distributions gave.  The
+ * spelled-out forms drop the branches that mispredict: the twist's
+ * per-word choice of matrix and the word-to-double conversion's test of
+ * the top bit.  uniformInt alone still uses a std distribution, which
+ * reads the same words.
  */
 
 #ifndef OPDVFS_COMMON_RANDOM_H
 #define OPDVFS_COMMON_RANDOM_H
 
+#include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -17,8 +30,47 @@
 namespace opdvfs {
 
 /**
+ * MT19937-64: for every seed, the word sequence of [rand.predef]'s
+ * mt19937_64.  Its refill applies the twist matrix through a mask of
+ * the word's low bit instead of a conditional jump.
+ */
+class MersenneTwister64
+{
+  public:
+    using result_type = std::uint64_t;
+
+    explicit MersenneTwister64(result_type seed);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    /** Next word of the sequence. */
+    result_type
+    operator()()
+    {
+        if (next_ >= kStateSize)
+            refill();
+        result_type z = state_[next_++];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71d67fffeda60000ULL;
+        z ^= (z << 37) & 0xfff7eee000000000ULL;
+        z ^= z >> 43;
+        return z;
+    }
+
+  private:
+    static constexpr std::size_t kStateSize = 312;
+
+    /** Regenerate all kStateSize words of state. */
+    void refill();
+
+    std::array<result_type, kStateSize> state_;
+    std::size_t next_ = kStateSize;
+};
+
+/**
  * A seeded pseudo-random source with the distribution helpers the
- * library needs.  Thin wrapper over std::mt19937_64.
+ * library needs.
  */
 class Rng
 {
@@ -30,7 +82,7 @@ class Rng
     double
     uniform(double lo, double hi)
     {
-        return std::uniform_real_distribution<double>(lo, hi)(engine_);
+        return canonical() * (hi - lo) + lo;
     }
 
     /** Uniform integer in [lo, hi] inclusive. */
@@ -48,11 +100,27 @@ class Rng
             uniformInt(0, static_cast<std::int64_t>(n) - 1));
     }
 
-    /** Normal deviate with the given mean and standard deviation. */
+    /**
+     * Normal deviate with the given mean and standard deviation, by
+     * Marsaglia's polar method.  Each call draws a fresh pair and keeps
+     * one of its two deviates.
+     */
     double
     gaussian(double mean, double stddev)
     {
-        return std::normal_distribution<double>(mean, stddev)(engine_);
+        PolarPoint p = polarPoint();
+        double mult = std::sqrt(-2 * std::log(p.r2) / p.r2);
+        return p.y * mult * stddev + mean;
+    }
+
+    /**
+     * Advance the stream exactly as gaussian() would, without computing
+     * the deviate.
+     */
+    void
+    skipGaussian()
+    {
+        polarPoint();
     }
 
     /**
@@ -70,7 +138,7 @@ class Rng
     bool
     chance(double p)
     {
-        return std::bernoulli_distribution(p)(engine_);
+        return canonical() < p;
     }
 
     /**
@@ -92,10 +160,49 @@ class Rng
     }
 
     /** Access the underlying engine (for std::shuffle etc.). */
-    std::mt19937_64 &engine() { return engine_; }
+    MersenneTwister64 &engine() { return engine_; }
 
   private:
-    std::mt19937_64 engine_;
+    /**
+     * One word scaled into [0, 1): the word as a double, times 2^-64,
+     * clamped below 1.  Both halves convert exactly, so their sum is
+     * rounded once and equals the word's own conversion.
+     */
+    double
+    canonical()
+    {
+        std::uint64_t v = engine_();
+        double high = static_cast<std::uint32_t>(v >> 32);
+        double low = static_cast<std::uint32_t>(v);
+        double u = (high * 0x1p32 + low) * 0x1p-64;
+        return u < 1.0 ? u : std::nextafter(1.0, 0.0);
+    }
+
+    /** The y and the squared radius of a point in the unit disc. */
+    struct PolarPoint
+    {
+        double y = 0.0;
+        double r2 = 0.0;
+    };
+
+    /**
+     * The polar method's rejection loop: draw points uniform in the
+     * square [-1, 1)^2 until one falls inside the unit disc, minus its
+     * centre.
+     */
+    PolarPoint
+    polarPoint()
+    {
+        PolarPoint p;
+        do {
+            double x = 2.0 * canonical() - 1.0;
+            p.y = 2.0 * canonical() - 1.0;
+            p.r2 = x * x + p.y * p.y;
+        } while (p.r2 > 1.0 || p.r2 == 0.0);
+        return p;
+    }
+
+    MersenneTwister64 engine_;
 };
 
 } // namespace opdvfs

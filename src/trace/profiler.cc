@@ -1,6 +1,7 @@
 #include "trace/profiler.h"
 
 #include <algorithm>
+#include <initializer_list>
 
 namespace opdvfs::trace {
 
@@ -26,6 +27,17 @@ Profiler::openWindow()
     window_open_ = true;
 }
 
+namespace {
+
+/** Whether a true pipeline ratio gets measurement noise (and a draw). */
+bool
+isJittered(double truth)
+{
+    return !(truth <= 0.0);
+}
+
+} // namespace
+
 void
 Profiler::opFinished(const npu::CompiledOp &op, Tick start, Tick end,
                      double f_mhz_at_end)
@@ -34,12 +46,27 @@ Profiler::opFinished(const npu::CompiledOp &op, Tick start, Tick end,
     if (it == metadata_.end())
         return; // Unregistered helper op (e.g. a cool-down idle tail).
 
+    bool compute = op.params().category == npu::OpCategory::Compute;
+    if (!window_open_) {
+        // Nothing is kept: advance the stream past the deviates a
+        // record would draw.
+        rng_.skipGaussian();
+        if (compute) {
+            npu::PipelineRatios truth = op.timeline.ratios(f_mhz_at_end);
+            for (double r : {truth.cube, truth.vector, truth.scalar,
+                             truth.mte1, truth.mte2, truth.mte3})
+                if (isJittered(r))
+                    rng_.skipGaussian();
+        }
+        return;
+    }
+
     double duration_noise = rng_.noiseFactor(noise_.duration_sigma);
     npu::PipelineRatios ratios;
-    if (op.params().category == npu::OpCategory::Compute) {
+    if (compute) {
         npu::PipelineRatios truth = op.timeline.ratios(f_mhz_at_end);
         auto jitter = [this](double r) {
-            if (r <= 0.0)
+            if (!isJittered(r))
                 return 0.0;
             return std::clamp(r + rng_.gaussian(0.0, noise_.ratio_sigma),
                               0.0, 1.0);
@@ -51,8 +78,6 @@ Profiler::opFinished(const npu::CompiledOp &op, Tick start, Tick end,
         ratios.mte2 = jitter(truth.mte2);
         ratios.mte3 = jitter(truth.mte3);
     }
-    if (!window_open_)
-        return;
 
     const ops::Op &meta = *it->second;
     OpRecord &record = records_.emplace_back();

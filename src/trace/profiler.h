@@ -9,9 +9,12 @@
  *
  * Records are kept only inside a measurement window the caller opens
  * (after warm-up, per measured iteration).  The noise stream does not
- * depend on the window: every registered op that finishes draws its
- * noise, recorded or not, so a window sees exactly the records it would
- * have seen had the profiler recorded from the start.
+ * depend on the window: every registered op that finishes advances it
+ * by the deviates its record takes, recorded or not, so a window sees
+ * exactly the records it would have seen had the profiler recorded
+ * from the start.  Outside a window the stream skips those deviates
+ * (Rng::skipGaussian) instead of computing them, which matters because
+ * nearly every simulated op retires during the warm-up.
  */
 
 #ifndef OPDVFS_TRACE_PROFILER_H
@@ -73,10 +76,12 @@ class Profiler : public npu::NpuChip::OpObserver
     void openWindow();
 
     /**
-     * Draw the op's measurement noise (the duration factor, then one
-     * deviate per nonzero true pipeline ratio, in PipelineRatios field
-     * order) and, inside a window, keep its record.  Unregistered ops
-     * (e.g. a cool-down idle tail) draw nothing.
+     * Draw the op's measurement noise (the duration factor, then, for a
+     * Compute op, one deviate per true pipeline ratio that is not <= 0,
+     * in PipelineRatios field order) and, inside a window, keep its
+     * record.  Outside a window the same deviates are skipped, not
+     * computed.  Unregistered ops (e.g. a cool-down idle tail) draw
+     * nothing.
      */
     void opFinished(const npu::CompiledOp &op, Tick start, Tick end,
                     double f_mhz_at_end) override;

@@ -490,10 +490,10 @@ TEST(NetServer, QueuedRequestPastItsDeadlineExpiresWithoutAGaRun)
     server.start();
 
     // Hold the single worker well past the client's budget: one cold
-    // search lasts a couple hundred milliseconds, so a wall of four
-    // keeps the worker busy for ~1 s against a 0.2 s deadline.
+    // search lasts a few tens of milliseconds, so a wall of twelve
+    // keeps the worker busy for ~0.4 s against a 0.2 s deadline.
     std::vector<serve::Admission> wall;
-    for (std::uint64_t seed = 41; seed < 45; ++seed) {
+    for (std::uint64_t seed = 41; seed < 53; ++seed) {
         serve::StrategyRequest occupier;
         occupier.workload = testWorkload(768);
         occupier.use_cache = false;

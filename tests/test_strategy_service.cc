@@ -484,16 +484,32 @@ TEST(StrategyService, ResponseStrategyRoundTripsWithMeta)
     EXPECT_EQ(loaded.mhz_per_stage, response.strategy.mhz_per_stage);
 }
 
+/**
+ * Hold a one-worker service's worker with four uncached cold searches.
+ * One lasts a few tens of milliseconds, so a request queued behind
+ * them waits well past a 50 ms budget.
+ */
+std::vector<Admission>
+occupyTheWorker(StrategyService &service)
+{
+    std::vector<Admission> wall;
+    for (std::uint64_t seed = 41; seed < 45; ++seed) {
+        StrategyRequest occupier;
+        occupier.workload = testWorkload(512);
+        occupier.use_cache = false;
+        occupier.seed = seed;
+        wall.push_back(service.trySubmit(occupier));
+    }
+    return wall;
+}
+
 TEST(StrategyService, QueuedRequestPastItsDeadlineIsRefused)
 {
     StrategyService service(fastOptions(1));
 
-    // Hold the single worker with a slow cold search.
-    StrategyRequest occupier;
-    occupier.workload = testWorkload(512);
-    occupier.use_cache = false;
-    Admission admitted = service.trySubmit(occupier);
-    ASSERT_TRUE(admitted.accepted());
+    std::vector<Admission> wall = occupyTheWorker(service);
+    for (const Admission &admitted : wall)
+        ASSERT_TRUE(admitted.accepted());
 
     // A 50 ms budget expires long before the worker frees: the
     // service must refuse the search rather than burn a GA run the
@@ -503,7 +519,8 @@ TEST(StrategyService, QueuedRequestPastItsDeadlineIsRefused)
     doomed.deadline_seconds = 0.05;
     std::future<StrategyResponse> future = service.submit(doomed);
     EXPECT_THROW(future.get(), RequestExpired);
-    admitted.future->get();
+    for (Admission &admitted : wall)
+        admitted.future->get();
 
     ServiceStats stats = service.stats();
     EXPECT_EQ(stats.expired_in_queue, 1u);
@@ -518,11 +535,9 @@ TEST(StrategyService, EnforcementOffRunsExpiredWorkAndCountsIt)
     options.enforce_deadlines = false;
     StrategyService service(options);
 
-    StrategyRequest occupier;
-    occupier.workload = testWorkload(512);
-    occupier.use_cache = false;
-    Admission admitted = service.trySubmit(occupier);
-    ASSERT_TRUE(admitted.accepted());
+    std::vector<Admission> wall = occupyTheWorker(service);
+    for (const Admission &admitted : wall)
+        ASSERT_TRUE(admitted.accepted());
 
     StrategyRequest doomed;
     doomed.workload = testWorkload(256);
@@ -530,7 +545,8 @@ TEST(StrategyService, EnforcementOffRunsExpiredWorkAndCountsIt)
     doomed.use_cache = false;
     StrategyResponse served = service.submit(doomed).get();
     EXPECT_EQ(served.provenance, Provenance::Cold);
-    admitted.future->get();
+    for (Admission &admitted : wall)
+        admitted.future->get();
 
     ServiceStats stats = service.stats();
     EXPECT_EQ(stats.expired_in_queue, 0u);

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <sstream>
+#include <unordered_map>
 
 #include "models/transformer.h"
 #include "trace/run_harness.h"
@@ -186,16 +188,32 @@ TEST_F(TraceTest, LateWindowSeesTheRecordsOfAnAlwaysOpenOne)
 {
     // Same seed on two identical chips: profiler A records from the
     // first iteration, profiler B opens its window at the last one.
-    // Ops outside a window draw the same noise as recorded ones, so B
-    // keeps exactly A's last-iteration records, bit for bit.
+    // Ops outside a window advance the noise stream as recorded ones
+    // do, so B keeps exactly A's last-iteration records, bit for bit.
+    //
+    // The tiny transformer's Compute ops all load and store; append one
+    // that stores nothing, so one draws for a core pipe and a single
+    // transfer.
+    models::Workload workload = workload_;
+    auto compute = std::find_if(
+        workload.iteration.begin(), workload.iteration.end(),
+        [](const ops::Op &op) {
+            return op.hw.category == npu::OpCategory::Compute;
+        });
+    ASSERT_NE(compute, workload.iteration.end());
+    ops::Op load_only = *compute;
+    load_only.id = workload.opCount();
+    load_only.hw.st_volume_bytes = 0.0;
+    workload.iteration.push_back(load_only);
+
     RunOptions options;
     options.seed = 9;
-    std::size_t n = workload_.opCount();
+    std::size_t n = workload.opCount();
     std::vector<SetFreqTrigger> triggers =
         orderTriggers({{n / 2, 1200.0}, {n - 1, 1800.0}}, n);
-    std::vector<npu::CompiledOp> ops = compileIteration(config_, workload_);
-    RunHarness a(config_, workload_, ops, options);
-    RunHarness b(config_, workload_, ops, options);
+    std::vector<npu::CompiledOp> ops = compileIteration(config_, workload);
+    RunHarness a(config_, workload, ops, options);
+    RunHarness b(config_, workload, ops, options);
 
     constexpr std::size_t kIterations = 4;
     a.profiler().openWindow();
@@ -235,6 +253,34 @@ TEST_F(TraceTest, LateWindowSeesTheRecordsOfAnAlwaysOpenOne)
     // frequencies, so ratio noise was drawn at each.
     EXPECT_DOUBLE_EQ(last.front().f_mhz, 1800.0);
     EXPECT_DOUBLE_EQ(last[n - 2].f_mhz, 1200.0);
+
+    // The iteration holds every way an op draws noise, so B skipping
+    // one deviate too few or too many for any of them moves its stream
+    // off A's: a non-Compute op draws the duration factor alone; a
+    // Compute op also draws one deviate per true ratio above zero and
+    // none for a zero one.
+    std::unordered_map<std::uint64_t, const npu::CompiledOp *> compiled;
+    for (const npu::CompiledOp &op : ops)
+        compiled[op.id] = &op;
+    std::size_t non_compute = 0;
+    std::size_t core_and_one_transfer = 0;
+    std::size_t core_and_both_transfers = 0;
+    for (const OpRecord &y : last) {
+        if (y.category != npu::OpCategory::Compute) {
+            ++non_compute;
+            continue;
+        }
+        npu::PipelineRatios t =
+            compiled.at(y.op_id)->timeline.ratios(y.f_mhz);
+        int core = (t.cube > 0.0) + (t.vector > 0.0) + (t.scalar > 0.0)
+            + (t.mte1 > 0.0);
+        int transfers = (t.mte2 > 0.0) + (t.mte3 > 0.0);
+        core_and_one_transfer += core == 1 && transfers == 1;
+        core_and_both_transfers += core == 1 && transfers == 2;
+    }
+    EXPECT_GT(non_compute, 0u);
+    EXPECT_GT(core_and_one_transfer, 0u);
+    EXPECT_GT(core_and_both_transfers, 0u);
 }
 
 TEST_F(TraceTest, CooldownExtendsSamples)
