@@ -1,8 +1,10 @@
 /**
  * Workload fingerprinting: equal content hashes equal (independently
  * of object identity — no pointer/address leakage), every
- * strategy-relevant perturbation changes the digest, and the
- * similarity metric orders near-misses sensibly.
+ * strategy-relevant perturbation changes the digest, the similarity
+ * metric orders near-misses sensibly, and the digests of three fixed
+ * requests are pinned: snapshots, WALs and shard routing key on them,
+ * so they must not move between builds.
  */
 
 #include <gtest/gtest.h>
@@ -136,6 +138,51 @@ TEST(Fingerprint, SimilarityOrdersNearMissesAboveStrangers)
     EXPECT_LT(far_sim, 0.5);
     // Symmetry.
     EXPECT_DOUBLE_EQ(near_sim, fingerprintSimilarity(near, base));
+}
+
+TEST(Fingerprint, DigestsArePinnedAcrossBuilds)
+{
+    npu::NpuConfig chip;
+    npu::MemorySystem memory(chip.memory);
+
+    // A serve-mix hot-set transformer.
+    models::TransformerConfig model;
+    model.name = "mix-1024-500";
+    model.layers = 2;
+    model.hidden = 1024;
+    model.heads = 8;
+    model.seq = 500;
+    models::Workload transformer =
+        models::buildTransformerTraining(memory, model, 5);
+    EXPECT_EQ(fingerprintRequest(transformer, chip, 0.02, 654321).digest,
+              0x68fb873f6e3eff77ULL);
+
+    EXPECT_EQ(fingerprintRequest(models::buildWorkload("ResNet50", memory, 1),
+                                 chip, 0.02, 1)
+                  .digest,
+              0x117e9f6fbbf65d9aULL);
+
+    // -0.0 in op fields and a chip field hashes as +0.0.
+    model.hidden = 768;
+    model.seq = 300;
+    models::Workload positive =
+        models::buildTransformerTraining(memory, model, 5);
+    models::Workload negative = positive;
+    for (ops::Op &op : negative.iteration) {
+        if (op.hw.comm_bytes == 0.0)
+            op.hw.comm_bytes = -0.0;
+        if (op.hw.fixed_seconds == 0.0)
+            op.hw.fixed_seconds = -0.0;
+    }
+    npu::NpuConfig positive_chip = chip;
+    positive_chip.thermal.ambient_celsius = 0.0;
+    npu::NpuConfig negative_chip = chip;
+    negative_chip.thermal.ambient_celsius = -0.0;
+    std::uint64_t signed_zero =
+        fingerprintRequest(negative, negative_chip, 0.05, 9).digest;
+    EXPECT_EQ(signed_zero, 0xb77d7a4d3ce66c0fULL);
+    EXPECT_EQ(signed_zero,
+              fingerprintRequest(positive, positive_chip, 0.05, 9).digest);
 }
 
 TEST(Fingerprint, CanonicalisesSignedZero)
