@@ -1,10 +1,16 @@
 /**
  * @file
- * CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
+ * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-8.
  *
- * Used as an integrity footer on persisted artefacts (strategy files):
- * a partially written or bit-flipped file fails its checksum at load
- * time instead of handing a silently truncated struct to the executor.
+ * Eight 256-entry tables, built at compile time, fold eight input bytes
+ * per step with independent lookups; only a tail shorter than eight
+ * bytes goes byte by byte.  The output is the standard CRC-32 (check
+ * value 0xCBF43926), so every stored checksum stays valid.
+ *
+ * Used as an integrity footer on persisted artefacts (strategy files,
+ * cache snapshots, WAL records) and on every wire frame: a partially
+ * written or bit-flipped buffer fails its checksum instead of handing
+ * a silently truncated struct to the executor.
  */
 
 #ifndef OPDVFS_COMMON_CRC32_H

@@ -27,7 +27,11 @@
  * never disagree on field coverage: for every accepted request payload
  * `encodeRequest(decodeRequest(p)) == p` byte for byte, and the
  * server-side fingerprint of the decoded workload equals the
- * client-side fingerprint of the original.  Strategies in responses
+ * client-side fingerprint of the original.  One parser reads request
+ * payloads, with two sinks: `decodeRequest` builds the workload, and
+ * `requestKey` feeds each operator's fields to the fingerprint's
+ * digest stream as they are read, so a server can answer a cached
+ * request without building a workload at all.  Strategies in responses
  * reuse the `dvfs::strategy_io` text format (embedded as one
  * length-prefixed block), inheriting its validation and stability
  * guarantees.
@@ -349,6 +353,29 @@ std::string encodeRequest(const WireRequest &request,
 /** Parse a request payload. @throws WireError / WireVersionError. */
 WireRequest decodeRequest(std::string_view payload,
                           const WireLimits &limits = {});
+
+/** What the server needs of a request before it decides to decode it. */
+struct RequestKey
+{
+    /** `serve::fingerprintRequest(...).digest` of the decoded request. */
+    std::uint64_t digest = 0;
+    bool use_cache = true;
+    bool serve_replica = false;
+    /** The chip block as it sits in the payload: byte-equal to
+     *  `encodeChipConfig(decodeRequest(payload).chip)`. */
+    std::string_view chip_block;
+};
+
+/**
+ * Validate a request payload and digest it straight off its bytes,
+ * without building the workload.  decodeRequest and requestKey share
+ * one parser, so this accepts exactly the payloads decodeRequest
+ * accepts and throws the same WireError / WireVersionError otherwise;
+ * the digest comes from the same `serve::DigestStream` that
+ * fingerprintRequest feeds.  `chip_block` views @p payload.
+ */
+RequestKey requestKey(std::string_view payload,
+                      const WireLimits &limits = {});
 
 /** Serialise a response payload (not framed). */
 std::string encodeResponse(const WireResponse &response,

@@ -49,52 +49,57 @@ FingerprintHasher::mixString(std::string_view text)
     }
 }
 
+DigestStream::DigestStream()
+{
+    hasher_.mixString("opdvfs-fingerprint-v1");
+}
+
+std::uint64_t
+DigestStream::finish(const npu::NpuConfig &chip, double perf_loss_target,
+                     std::uint64_t seed)
+{
+    // FaultPlan is runtime misbehaviour, not a different optimisation
+    // problem, so it stays out of the identity.
+    const npu::FreqTableConfig &freq = chip.freq;
+    for (double v : {freq.min_mhz, freq.max_mhz, freq.step_mhz,
+                     freq.knee_mhz, freq.base_volts, freq.volts_per_mhz})
+        hasher_.mixNumber(v);
+    const npu::MemorySystemConfig &mem = chip.memory;
+    hasher_.mix(mem.core_num);
+    for (double v : {mem.bytes_per_cycle_per_core, mem.l2_bandwidth,
+                     mem.hbm_bandwidth, mem.bandwidth_scale})
+        hasher_.mixNumber(v);
+    for (double v : {chip.aicore_power.beta, chip.aicore_power.theta,
+                     chip.aicore_power.gamma})
+        hasher_.mixNumber(v);
+    for (double v : {chip.uncore_power.idle_watts,
+                     chip.uncore_power.active_watts, chip.uncore_power.gamma,
+                     chip.uncore_power.dynamic_fraction})
+        hasher_.mixNumber(v);
+    for (double v : {chip.thermal.ambient_celsius, chip.thermal.k_per_watt,
+                     chip.thermal.time_constant_s})
+        hasher_.mixNumber(v);
+    hasher_.mix(static_cast<std::uint64_t>(chip.set_freq_latency));
+    hasher_.mixNumber(chip.initial_mhz);
+    hasher_.mixNumber(chip.uncore_scale);
+
+    hasher_.mixNumber(perf_loss_target);
+    hasher_.mix(seed);
+    return hasher_.digest();
+}
+
 Fingerprint
 fingerprintRequest(const models::Workload &workload,
                    const npu::NpuConfig &chip, double perf_loss_target,
                    std::uint64_t seed)
 {
-    FingerprintHasher hasher;
-    hasher.mixString("opdvfs-fingerprint-v1");
-
-    // --- workload content --------------------------------------------------
+    DigestStream stream;
     models::WorkloadFieldVisitor visitor;
-    visitor.string_field = [&hasher](std::string_view s) {
-        hasher.mixString(s);
+    visitor.string_field = [&stream](std::string_view s) {
+        stream.opType(s);
     };
-    visitor.number_field = [&hasher](double v) { hasher.mixNumber(v); };
+    visitor.number_field = [&stream](double v) { stream.opNumber(v); };
     models::visitWorkloadFields(workload, visitor);
-
-    // --- chip configuration ------------------------------------------------
-    // Every field the performance/power models or the executor depend
-    // on.  FaultPlan is runtime misbehaviour, not a different
-    // optimisation problem, so it stays out of the identity.
-    const npu::FreqTableConfig &freq = chip.freq;
-    for (double v : {freq.min_mhz, freq.max_mhz, freq.step_mhz,
-                     freq.knee_mhz, freq.base_volts, freq.volts_per_mhz})
-        hasher.mixNumber(v);
-    const npu::MemorySystemConfig &mem = chip.memory;
-    hasher.mix(mem.core_num);
-    for (double v : {mem.bytes_per_cycle_per_core, mem.l2_bandwidth,
-                     mem.hbm_bandwidth, mem.bandwidth_scale})
-        hasher.mixNumber(v);
-    for (double v : {chip.aicore_power.beta, chip.aicore_power.theta,
-                     chip.aicore_power.gamma})
-        hasher.mixNumber(v);
-    for (double v : {chip.uncore_power.idle_watts,
-                     chip.uncore_power.active_watts, chip.uncore_power.gamma,
-                     chip.uncore_power.dynamic_fraction})
-        hasher.mixNumber(v);
-    for (double v : {chip.thermal.ambient_celsius, chip.thermal.k_per_watt,
-                     chip.thermal.time_constant_s})
-        hasher.mixNumber(v);
-    hasher.mix(static_cast<std::uint64_t>(chip.set_freq_latency));
-    hasher.mixNumber(chip.initial_mhz);
-    hasher.mixNumber(chip.uncore_scale);
-
-    // --- request parameters ------------------------------------------------
-    hasher.mixNumber(perf_loss_target);
-    hasher.mix(seed);
 
     // --- similarity features -----------------------------------------------
     std::size_t per_category[4] = {0, 0, 0, 0};
@@ -122,7 +127,7 @@ fingerprintRequest(const models::Workload &workload,
     double ops = static_cast<double>(workload.opCount());
 
     Fingerprint fingerprint;
-    fingerprint.digest = hasher.digest();
+    fingerprint.digest = stream.finish(chip, perf_loss_target, seed);
     fingerprint.features = {
         logScale(ops, 5.0),
         ops > 0.0 ? static_cast<double>(per_category[0]) / ops : 0.0,

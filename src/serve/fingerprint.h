@@ -7,10 +7,11 @@
  * (frequency table, memory system, power/thermal parameters), and the
  * request's performance-loss target and seed.  Two parts:
  *
- *  - `digest`: a 64-bit FNV-1a hash over the canonical field stream —
- *    the exact-match cache key.  Only field *values* are hashed (never
- *    addresses or iteration order of unordered containers), so the
- *    digest is stable across processes and runs.
+ *  - `digest`: a 64-bit FNV-1a hash over the canonical field stream
+ *    (`DigestStream`) — the exact-match cache key.  Only field *values*
+ *    are hashed (never addresses or iteration order of unordered
+ *    containers), so the digest is stable across processes, runs and
+ *    builds; snapshots, WALs and shard routing key on it.
  *  - `features`: a small normalised feature vector (op-count scale,
  *    category mix, bottleneck-relevant volume totals, loss target)
  *    used to find *similar* cached problems whose strategies can
@@ -62,6 +63,36 @@ class FingerprintHasher
   private:
     /** FNV-1a 64-bit offset basis. */
     std::uint64_t state_ = 1469598103934665603ULL;
+};
+
+/**
+ * The digest's canonical stream, in order: a version tag; per operator
+ * its type string, then its numbers in `models::visitWorkloadFields`
+ * order; then the chip fields, the loss target and the seed.
+ * `fingerprintRequest` feeds it from a workload and `net::requestKey`
+ * straight from a request's wire bytes, so both compute the same
+ * digest by construction.
+ */
+class DigestStream
+{
+  public:
+    DigestStream();
+
+    /** An operator's type string; its numbers follow. */
+    void opType(std::string_view type) { hasher_.mixString(type); }
+    /** One of the operator's numbers, in visitor order. */
+    void opNumber(double value) { hasher_.mixNumber(value); }
+
+    /**
+     * Mix the chip configuration (every field the performance/power
+     * models or the executor depend on), the loss target and the seed
+     * after the operators, and return the digest.
+     */
+    std::uint64_t finish(const npu::NpuConfig &chip, double perf_loss_target,
+                         std::uint64_t seed);
+
+  private:
+    FingerprintHasher hasher_;
 };
 
 /**
