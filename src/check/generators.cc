@@ -321,25 +321,29 @@ genWorkload(Rng &rng, const npu::MemorySystem &memory, int min_ops,
     return workload;
 }
 
+net::WireRequest
+genWireRequest(Rng &rng)
+{
+    net::WireRequest request;
+    npu::NpuConfig chip;
+    npu::MemorySystem memory(chip.memory);
+    request.chip = chip;
+    request.workload = genWorkload(rng, memory, 1, 8);
+    request.perf_loss_target = rng.uniform(0.005, 0.5);
+    request.seed = static_cast<std::uint64_t>(rng.uniformInt(0, 1LL << 40));
+    request.use_cache = rng.chance(0.5);
+    request.allow_warm_start = rng.chance(0.5);
+    if (rng.chance(0.4))
+        request.deadline_ms =
+            static_cast<std::uint32_t>(rng.uniformInt(1, 600000));
+    return request;
+}
+
 std::string
 genWireFrame(Rng &rng, const net::WireLimits &limits)
 {
-    if (rng.chance(0.5)) {
-        net::WireRequest request;
-        npu::NpuConfig chip;
-        npu::MemorySystem memory(chip.memory);
-        request.chip = chip;
-        request.workload = genWorkload(rng, memory, 1, 8);
-        request.perf_loss_target = rng.uniform(0.005, 0.5);
-        request.seed = static_cast<std::uint64_t>(
-            rng.uniformInt(0, 1LL << 40));
-        request.use_cache = rng.chance(0.5);
-        request.allow_warm_start = rng.chance(0.5);
-        if (rng.chance(0.4))
-            request.deadline_ms = static_cast<std::uint32_t>(
-                rng.uniformInt(1, 600000));
-        return net::frameRequest(request, limits);
-    }
+    if (rng.chance(0.5))
+        return net::frameRequest(genWireRequest(rng), limits);
     net::WireResponse response;
     switch (rng.uniformInt(0, 3)) {
     case 0: {

@@ -124,6 +124,10 @@ dvfs::Strategy genStrategy(Rng &rng, const npu::FreqTable &table);
 models::Workload genWorkload(Rng &rng, const npu::MemorySystem &memory,
                              int min_ops, int max_ops);
 
+/** One valid wire request (sometimes carrying a deadline) for the
+ *  default chip, over a small generated workload. */
+net::WireRequest genWireRequest(Rng &rng);
+
 /**
  * One valid wire frame: a framed request (sometimes carrying a
  * deadline) or a framed response covering every status — including

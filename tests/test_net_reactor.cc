@@ -15,6 +15,11 @@
  * with the refinement, a restored entry is on the loop from the first
  * request, a donor import never is, and the server leaves the
  * service's upgrade listener alone.
+ *
+ * A pipelined burst — hits, a cache bypass and a malformed payload in
+ * one send — is answered in request order with each hit byte-identical
+ * to the ground truth, and a sharded server still answers NotOwner
+ * before it compares chips.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +32,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -36,6 +42,8 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "power/offline_calibration.h"
+#include "serve/fingerprint.h"
+#include "shard/shard_map.h"
 #include "tune/surrogate.h"
 
 namespace opdvfs::net {
@@ -213,6 +221,158 @@ groundTruthHitFrame(serve::StrategyService &service,
     wire.fingerprint_digest = local.fingerprint.digest;
     wire.model_epoch = service.modelEpoch();
     return frameResponse(wire);
+}
+
+/** Read @p count response frames off @p fd, in arrival order. */
+std::vector<std::string>
+readFrames(int fd, std::size_t count)
+{
+    std::vector<std::string> frames;
+    std::string buffer;
+    char chunk[16384];
+    while (frames.size() < count) {
+        std::size_t consumed = 0;
+        if (peelFrame(buffer, &consumed)) {
+            frames.push_back(buffer.substr(0, consumed));
+            buffer.erase(0, consumed);
+            continue;
+        }
+        ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+        if (got <= 0)
+            break;
+        buffer.append(chunk, static_cast<std::size_t>(got));
+    }
+    return frames;
+}
+
+std::uint64_t
+digestOf(const WireRequest &request)
+{
+    return serve::fingerprintRequest(request.workload, request.chip,
+                                     request.perf_loss_target, request.seed)
+        .digest;
+}
+
+TEST(NetReactor, PipelinedBurstIsAnsweredInRequestOrder)
+{
+    serve::StrategyService service(fastOptions(2));
+    StrategyServer server(service, ServerOptions{});
+    server.start();
+
+    std::vector<WireRequest> hot = {testWireRequest(256, 3),
+                                    testWireRequest(320, 3),
+                                    testWireRequest(384, 7)};
+    {
+        StrategyClient primer("127.0.0.1", server.port());
+        for (const WireRequest &request : hot)
+            ASSERT_EQ(primer.call(request).status, Status::Ok);
+    }
+    std::vector<std::string> expected;
+    for (const WireRequest &request : hot)
+        expected.push_back(groundTruthHitFrame(service, request));
+    const std::uint64_t misses_before = server.stats().fast_path_misses;
+
+    // 17 frames in one send: 15 hits on three digests, a valid-CRC
+    // frame whose payload does not decode, and a cache bypass that
+    // takes the worker path while the hits behind it wait.
+    constexpr int kMalformed = -1;
+    constexpr int kBypass = -2;
+    const std::vector<int> order = {0, 1, 2, 0, 1, 2, 0, kMalformed, 1,
+                                    2, 0, kBypass, 1, 2, 0, 1, 2};
+    WireRequest bypass = hot[1];
+    bypass.use_cache = false;
+    std::string burst;
+    for (int which : order) {
+        if (which == kMalformed)
+            burst += frameMessage(MsgType::Request, "not-a-request");
+        else if (which == kBypass)
+            burst += frameRequest(bypass);
+        else
+            burst += frameRequest(hot[static_cast<std::size_t>(which)]);
+    }
+
+    int fd = connectLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, burst.data(), burst.size(), 0),
+              static_cast<ssize_t>(burst.size()));
+    std::vector<std::string> replies = readFrames(fd, order.size());
+    ASSERT_EQ(replies.size(), order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        if (order[i] >= 0) {
+            EXPECT_EQ(replies[i],
+                      expected[static_cast<std::size_t>(order[i])])
+                << "reply " << i << " is not its request's hit frame";
+            continue;
+        }
+        std::size_t consumed = 0;
+        auto frame = peelFrame(replies[i], &consumed);
+        ASSERT_TRUE(frame.has_value());
+        WireResponse response = decodeResponse(frame->payload);
+        if (order[i] == kMalformed) {
+            EXPECT_EQ(response.status, Status::Malformed) << "reply " << i;
+        } else {
+            EXPECT_EQ(response.status, Status::Ok) << "reply " << i;
+            EXPECT_NE(response.provenance, serve::Provenance::ExactHit);
+            EXPECT_EQ(response.fingerprint_digest, digestOf(bypass));
+        }
+    }
+
+    // One bad payload does not end the connection: the next hit on it
+    // is answered too.
+    EXPECT_EQ(roundTripRaw(fd, frameRequest(hot[2])), expected[2]);
+    ::close(fd);
+
+    ServerStats stats = server.stats();
+    EXPECT_EQ(stats.fast_path_hits, 16u);
+    EXPECT_EQ(stats.fast_path_misses, misses_before);
+    EXPECT_EQ(stats.responses_malformed, 1u);
+    server.stop();
+}
+
+TEST(NetReactor, ShardedServerAnswersNotOwnerBeforeChipMismatch)
+{
+    serve::StrategyService service(fastOptions(1));
+    ServerOptions server_options;
+    server_options.shard_id = 0;
+    server_options.shard_map = std::make_shared<shard::SharedShardMap>(
+        shard::ShardMap({{0, "127.0.0.1:7"}, {1, "127.0.0.1:9"}}));
+    StrategyServer server(service, server_options);
+    server.start();
+
+    // Two requests for a chip this server does not serve: one whose
+    // digest shard 1 owns, one whose digest this shard owns.
+    std::shared_ptr<const shard::ShardMap> map =
+        server_options.shard_map->snapshot();
+    std::optional<WireRequest> foreign;
+    std::optional<WireRequest> owned;
+    for (std::uint64_t seed = 1; !(foreign && owned) && seed < 200;
+         ++seed) {
+        WireRequest request = testWireRequest(64, seed);
+        request.chip.uncore_power.idle_watts += 1.0;
+        auto &slot = map->ownerOf(digestOf(request)).id == 1 ? foreign
+                                                              : owned;
+        if (!slot)
+            slot = std::move(request);
+    }
+    ASSERT_TRUE(foreign && owned);
+
+    std::string burst = frameRequest(*foreign) + frameRequest(*owned);
+    int fd = connectLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, burst.data(), burst.size(), 0),
+              static_cast<ssize_t>(burst.size()));
+    std::vector<std::string> replies = readFrames(fd, 2);
+    ::close(fd);
+    ASSERT_EQ(replies.size(), 2u);
+    std::size_t consumed = 0;
+    WireResponse first =
+        decodeResponse(peelFrame(replies[0], &consumed)->payload);
+    EXPECT_EQ(first.status, Status::NotOwner);
+    EXPECT_EQ(first.owner_address, "127.0.0.1:9");
+    WireResponse second =
+        decodeResponse(peelFrame(replies[1], &consumed)->payload);
+    EXPECT_EQ(second.status, Status::ChipMismatch);
+    server.stop();
 }
 
 TEST(NetReactor, ExactHitsFromEveryReactorAreByteIdentical)
