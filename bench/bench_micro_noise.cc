@@ -4,11 +4,15 @@
  * measurement noise (the CANN profiler's error model, Sect. 6.2).
  * Every simulated op draws it, and after the thermal warm-up
  * (Sect. 7.4) nearly all of them retire outside a measurement window,
- * where Rng::skipGaussian only advances the stream.
+ * whose deviates the profiler skips in one Rng::skipGaussians batch
+ * when the window opens.
  *
  *  - BM_StdNormal: a fresh std::normal_distribution over
  *    std::mt19937_64 per deviate, the library's former path;
- *  - BM_RngGaussian / BM_RngSkipGaussian: Rng's deviate, and the skip;
+ *  - BM_RngGaussian / BM_RngSkipGaussian: Rng's deviate, and the skip
+ *    of one;
+ *  - BM_RngSkipGaussians: the batched skip of 2^20 deviates, about a
+ *    ResNet50 warm-up's worth; time_per_deviate is per skipped deviate;
  *  - BM_ProfileRunResNet50: one WorkloadRunner::run of ResNet50 at
  *    1800 MHz with the 25 s warm-up of the zoo's end-to-end runs.
  */
@@ -16,6 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 
 #include "common/random.h"
@@ -58,6 +63,22 @@ BM_RngSkipGaussian(benchmark::State &state)
 }
 
 void
+BM_RngSkipGaussians(benchmark::State &state)
+{
+    Rng rng(1);
+    auto batch = static_cast<std::uint64_t>(state.range(0));
+    for (auto _ : state) {
+        rng.skipGaussians(batch);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+    state.counters["time_per_deviate"] = benchmark::Counter(
+        static_cast<double>(batch),
+        benchmark::Counter::kIsIterationInvariantRate
+            | benchmark::Counter::kInvert);
+}
+
+void
 BM_ProfileRunResNet50(benchmark::State &state)
 {
     npu::NpuConfig chip;
@@ -87,6 +108,7 @@ BM_ProfileRunResNet50(benchmark::State &state)
 BENCHMARK(BM_StdNormal);
 BENCHMARK(BM_RngGaussian);
 BENCHMARK(BM_RngSkipGaussian);
+BENCHMARK(BM_RngSkipGaussians)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProfileRunResNet50)->Unit(benchmark::kMillisecond);
 
 } // namespace

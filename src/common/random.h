@@ -6,15 +6,21 @@
  * algorithm, workload synthesis) flows through Rng instances seeded
  * explicitly, so every experiment is reproducible bit-for-bit.
  *
- * Every simulated op draws its profiler noise here, so the draws are a
- * large share of a simulation's host time.  The engine is MT19937-64
- * with the standard's output sequence, and uniform, chance and gaussian
- * are spelled out exactly as libstdc++ computes them over that engine,
- * so outputs stay what the std engine and distributions gave.  The
- * spelled-out forms drop the branches that mispredict: the twist's
- * per-word choice of matrix and the word-to-double conversion's test of
- * the top bit.  uniformInt alone still uses a std distribution, which
- * reads the same words.
+ * Every simulated op advances its profiler's noise stream here, so the
+ * stream is a large share of a simulation's host time.  The engine is
+ * MT19937-64 with the standard's output sequence, and uniform, chance
+ * and gaussian are spelled out exactly as libstdc++ computes them over
+ * that engine, so outputs stay what the std engine and distributions
+ * gave.  The spelled-out forms drop the branches that mispredict: the
+ * twist's per-word choice of matrix and the word-to-double conversion's
+ * test of the top bit.  uniformInt alone still uses a std distribution,
+ * which reads the same words.
+ *
+ * Most deviates are never looked at: the profiler skips those of ops
+ * that retire outside a measurement window, in one skipGaussians call
+ * when the window opens.  That call tests the polar method's candidate
+ * points two per vector instruction over the engine's unread state, so
+ * a skipped deviate costs a fraction of a drawn one.
  */
 
 #ifndef OPDVFS_COMMON_RANDOM_H
@@ -59,6 +65,9 @@ class MersenneTwister64
     }
 
   private:
+    /** Rng::skipGaussians reads the unread state in place. */
+    friend class Rng;
+
     static constexpr std::size_t kStateSize = 312;
 
     /** Regenerate all kStateSize words of state. */
@@ -122,6 +131,15 @@ class Rng
     {
         polarPoint();
     }
+
+    /**
+     * Advance the stream exactly as @p n calls of skipGaussian() would.
+     * Counts accepted points block by block over the engine's unread
+     * state, two per vector step and with no branch per point, and
+     * steps one point at a time only across a pair that straddles a
+     * refill and in the block holding the n-th accepted point.
+     */
+    void skipGaussians(std::uint64_t n);
 
     /**
      * Multiplicative noise factor: 1 + N(0, relative_sigma), clamped so

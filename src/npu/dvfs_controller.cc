@@ -14,6 +14,7 @@ DvfsController::DvfsController(sim::Simulator &simulator,
     if (!table.supports(initial_mhz))
         throw std::invalid_argument(
             "DvfsController: unsupported initial frequency");
+    current_volts_ = table.voltageFor(initial_mhz);
 }
 
 void
@@ -41,6 +42,7 @@ DvfsController::setFrequency(double mhz)
         return;
     double old = current_mhz_;
     current_mhz_ = mhz;
+    current_volts_ = table_.voltageFor(mhz);
     for (const auto &listener : listeners_)
         listener(old, mhz);
 }

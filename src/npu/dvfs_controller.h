@@ -44,7 +44,7 @@ class DvfsController
     double currentMhz() const { return current_mhz_; }
 
     /** Firmware voltage for the current frequency. */
-    double currentVolts() const { return table_.voltageFor(current_mhz_); }
+    double currentVolts() const { return current_volts_; }
 
     /**
      * Change the frequency immediately.  Finite out-of-table requests
@@ -103,6 +103,8 @@ class DvfsController
     sim::Simulator &simulator_;
     const FreqTable &table_;
     double current_mhz_;
+    /** The table's voltage for current_mhz_, set with it. */
+    double current_volts_ = 0.0;
     double requested_mhz_;
     double throttle_ceiling_ = 0.0;
     std::uint64_t set_freq_count_ = 0;

@@ -274,6 +274,11 @@ NpuChip::accrueAtFrequency(double f_mhz)
         thermal_.setAmbientOffset(
             fault_injector_->ambientOffsetCelsius(now));
     }
+    // A frequency change closes its segment at the old frequency, whose
+    // voltage the controller no longer holds.
+    double volts = f_mhz == dvfs_.currentMhz()
+        ? dvfs_.currentVolts()
+        : freq_table_.voltageFor(f_mhz);
     while (last_accrual_ < now) {
         Tick seg_end =
             std::min(now, last_accrual_ + config_.max_energy_segment);
@@ -281,7 +286,7 @@ NpuChip::accrueAtFrequency(double f_mhz)
 
         PowerState state = powerState();
         state.f_mhz = f_mhz;
-        state.volts = freq_table_.voltageFor(f_mhz);
+        state.volts = volts;
         state.delta_t = thermal_.deltaT();
 
         double p_core = power_.aicorePower(state);

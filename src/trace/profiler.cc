@@ -1,7 +1,9 @@
 #include "trace/profiler.h"
 
 #include <algorithm>
+#include <functional>
 #include <initializer_list>
+#include <stdexcept>
 
 namespace opdvfs::trace {
 
@@ -13,17 +15,34 @@ Profiler::Profiler(npu::NpuChip &chip, ProfilerNoise noise,
 }
 
 void
-Profiler::registerSequence(const ops::OpSequence &sequence)
+Profiler::registerSequence(const ops::OpSequence &sequence,
+                           std::span<const npu::CompiledOp> compiled)
 {
-    for (const auto &op : sequence)
-        metadata_[op.id] = &op;
+    if (sequence.size() != compiled.size())
+        throw std::invalid_argument(
+            "Profiler: compiled iteration and sequence differ in size");
+    sequence_ = sequence;
+    compiled_ = compiled;
+}
+
+const ops::Op *
+Profiler::metadataOf(const npu::CompiledOp &op) const
+{
+    // std::less orders pointers into different arrays too.
+    std::less<const npu::CompiledOp *> before;
+    const npu::CompiledOp *first = compiled_.data();
+    if (before(&op, first) || !before(&op, first + compiled_.size()))
+        return nullptr;
+    return &sequence_[static_cast<std::size_t>(&op - first)];
 }
 
 void
 Profiler::openWindow()
 {
+    rng_.skipGaussians(pending_deviates_);
+    pending_deviates_ = 0;
     records_.clear();
-    records_.reserve(metadata_.size());
+    records_.reserve(sequence_.size());
     window_open_ = true;
 }
 
@@ -42,21 +61,20 @@ void
 Profiler::opFinished(const npu::CompiledOp &op, Tick start, Tick end,
                      double f_mhz_at_end)
 {
-    auto it = metadata_.find(op.id);
-    if (it == metadata_.end())
+    const ops::Op *meta = metadataOf(op);
+    if (!meta)
         return; // Unregistered helper op (e.g. a cool-down idle tail).
 
     bool compute = op.params().category == npu::OpCategory::Compute;
     if (!window_open_) {
-        // Nothing is kept: advance the stream past the deviates a
-        // record would draw.
-        rng_.skipGaussian();
+        // Nothing is kept: count the deviates a record would draw, for
+        // openWindow to skip.
+        ++pending_deviates_;
         if (compute) {
             npu::PipelineRatios truth = op.timeline.ratios(f_mhz_at_end);
             for (double r : {truth.cube, truth.vector, truth.scalar,
                              truth.mte1, truth.mte2, truth.mte3})
-                if (isJittered(r))
-                    rng_.skipGaussian();
+                pending_deviates_ += isJittered(r);
         }
         return;
     }
@@ -79,11 +97,10 @@ Profiler::opFinished(const npu::CompiledOp &op, Tick start, Tick end,
         ratios.mte3 = jitter(truth.mte3);
     }
 
-    const ops::Op &meta = *it->second;
     OpRecord &record = records_.emplace_back();
     record.op_id = op.id;
-    record.type = meta.type;
-    record.category = meta.hw.category;
+    record.type = meta->type;
+    record.category = meta->hw.category;
     record.start = start;
     record.end = end;
     record.f_mhz = f_mhz_at_end;

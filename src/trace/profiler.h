@@ -12,17 +12,23 @@
  * depend on the window: every registered op that finishes advances it
  * by the deviates its record takes, recorded or not, so a window sees
  * exactly the records it would have seen had the profiler recorded
- * from the start.  Outside a window the stream skips those deviates
- * (Rng::skipGaussian) instead of computing them, which matters because
- * nearly every simulated op retires during the warm-up.
+ * from the start.  Nearly every simulated op retires during the
+ * warm-up, before any window, so such an op only adds its deviate
+ * count to a tally, and opening the window skips the tally in one
+ * batch (Rng::skipGaussians).  Only the profiler draws from its
+ * stream, so the words are consumed in the same order, just later.
+ *
+ * An op is registered iff it is an element of the compiled iteration
+ * the profiler was given; its metadata is the sequence entry at the
+ * same position, so finding it is a pointer difference.
  */
 
 #ifndef OPDVFS_TRACE_PROFILER_H
 #define OPDVFS_TRACE_PROFILER_H
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,7 +41,7 @@ namespace opdvfs::trace {
 /** One profiled operator execution. */
 struct OpRecord
 {
-    /** Operator id: its index within the iteration sequence. */
+    /** The op's id (ops::Op::id), unique within its iteration. */
     std::uint64_t op_id = 0;
     std::string type;
     npu::OpCategory category = npu::OpCategory::Compute;
@@ -64,11 +70,20 @@ class Profiler : public npu::NpuChip::OpObserver
   public:
     Profiler(npu::NpuChip &chip, ProfilerNoise noise, std::uint64_t seed);
 
-    /** Register the metadata of the ops about to run. */
-    void registerSequence(const ops::OpSequence &sequence);
+    /**
+     * Register the ops about to run: @p compiled, the iteration the
+     * chip executes, compiled from @p sequence in order.  The ops of
+     * @p compiled are the registered ones, each with the metadata of
+     * @p sequence's entry at its position.  Replaces any earlier
+     * registration; both must outlive the profiler's use of them.
+     * @throws std::invalid_argument when the sizes differ.
+     */
+    void registerSequence(const ops::OpSequence &sequence,
+                          std::span<const npu::CompiledOp> compiled);
 
     /**
-     * Open a measurement window: drop earlier records and keep one per
+     * Open a measurement window: skip the deviates of the ops that
+     * retired before it, drop earlier records and keep one per
      * registered op that finishes from now on, with room reserved for
      * one record per registered op.  Before the first window nothing
      * is kept.
@@ -79,9 +94,9 @@ class Profiler : public npu::NpuChip::OpObserver
      * Draw the op's measurement noise (the duration factor, then, for a
      * Compute op, one deviate per true pipeline ratio that is not <= 0,
      * in PipelineRatios field order) and, inside a window, keep its
-     * record.  Outside a window the same deviates are skipped, not
-     * computed.  Unregistered ops (e.g. a cool-down idle tail) draw
-     * nothing.
+     * record.  Outside a window the same deviates are only counted,
+     * for the next openWindow to skip.  Unregistered ops (e.g. a
+     * cool-down idle tail) draw nothing.
      */
     void opFinished(const npu::CompiledOp &op, Tick start, Tick end,
                     double f_mhz_at_end) override;
@@ -96,9 +111,15 @@ class Profiler : public npu::NpuChip::OpObserver
     std::vector<OpRecord> takeRecords() { return std::move(records_); }
 
   private:
+    /** @p op's metadata, or nullptr when @p op is not registered. */
+    const ops::Op *metadataOf(const npu::CompiledOp &op) const;
+
     ProfilerNoise noise_;
     Rng rng_;
-    std::unordered_map<std::uint64_t, const ops::Op *> metadata_;
+    std::span<const ops::Op> sequence_;
+    std::span<const npu::CompiledOp> compiled_;
+    /** Deviates of ops that retired before the first window. */
+    std::uint64_t pending_deviates_ = 0;
     bool window_open_ = false;
     std::vector<OpRecord> records_;
 };

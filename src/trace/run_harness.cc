@@ -62,7 +62,7 @@ RunHarness::RunHarness(const npu::NpuConfig &config,
 {
     if (workload.iteration.empty())
         throw std::invalid_argument("RunHarness: empty workload");
-    profiler_.registerSequence(workload.iteration);
+    profiler_.registerSequence(workload.iteration, ops);
 }
 
 void

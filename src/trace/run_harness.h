@@ -61,9 +61,10 @@ class RunHarness
     /**
      * Build the chip from @p config at `options.initial_mhz`; the
      * profiler and sampler take their noise, period and seeds from
-     * @p options.  @p ops must be compileIteration(config, workload).
-     * @throws std::invalid_argument for an empty workload or an
-     *         unsupported initial frequency.
+     * @p options.  @p ops must be compileIteration(config, workload);
+     * the profiler registers its elements, so only they draw noise.
+     * @throws std::invalid_argument for an empty workload, an @p ops
+     *         of another size, or an unsupported initial frequency.
      */
     RunHarness(const npu::NpuConfig &config,
                const models::Workload &workload,

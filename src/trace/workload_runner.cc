@@ -63,7 +63,8 @@ measure(const npu::NpuConfig &config, const models::Workload &workload,
         tail.category = npu::OpCategory::Idle;
         tail.fixed_seconds = options.cooldown_seconds;
         sampler.start(/*stop_when_idle=*/true);
-        // Id outside the registered sequence: profiler ignores it.
+        // A chip-owned op, outside the compiled iteration: the
+        // profiler ignores it.
         chip.enqueueOp(tail, workload.iteration.size() + 1'000'000'000ULL);
         simulator.run();
         chip.syncAccounting();

@@ -116,6 +116,104 @@ TEST(Rng, SkipGaussianLeavesTheEngineWhereGaussianDoes)
     }
 }
 
+/**
+ * The seeds the batched skip is checked on: small ones, and the
+ * profiler's seeds (RunHarness: seed * 7919 + 1) for three run seeds.
+ */
+std::vector<std::uint64_t>
+skipSeeds()
+{
+    std::vector<std::uint64_t> seeds = {0, 1, 41};
+    for (std::uint64_t run_seed : {1, 9, 2027})
+        seeds.push_back(run_seed * 7919 + 1);
+    return seeds;
+}
+
+/** A generator on @p seed that has handed out @p words words. */
+Rng
+afterWords(std::uint64_t seed, int words)
+{
+    Rng rng(seed);
+    for (int i = 0; i < words; ++i)
+        rng.engine()();
+    return rng;
+}
+
+/** The next four words of a copy of @p rng; @p rng itself stays put. */
+std::vector<std::uint64_t>
+peek(Rng rng)
+{
+    std::vector<std::uint64_t> words;
+    for (int i = 0; i < 4; ++i)
+        words.push_back(rng.engine()());
+    return words;
+}
+
+TEST(Rng, SkipGaussiansLeavesTheEngineWhereSingleSkipsDo)
+{
+    // k words first puts the skip at every offset of both parities in
+    // a 312-word refill block, including 311, whose first pair
+    // straddles the refill.  The counts cover no point, a few, the
+    // points of about one block either side of 156 pairs, and several
+    // blocks.
+    const std::uint64_t counts[] = {0, 1, 2, 3, 155, 156, 157, 1000};
+    for (std::uint64_t seed : skipSeeds()) {
+        for (int k = 0; k < 312; ++k) {
+            Rng single = afterWords(seed, k);
+            std::uint64_t skipped = 0;
+            for (std::uint64_t n : counts) {
+                for (; skipped < n; ++skipped)
+                    single.skipGaussian();
+                Rng batch = afterWords(seed, k);
+                batch.skipGaussians(n);
+                ASSERT_EQ(peek(batch), peek(single))
+                    << "seed " << seed << " k " << k << " n " << n;
+            }
+        }
+    }
+}
+
+TEST(Rng, SkipGaussiansMatchesAMillionSingleSkips)
+{
+    // A block's start parity is the first start's for the whole skip,
+    // so both parities, the straddle and the block ends suffice here.
+    constexpr std::uint64_t kMillion = 1'000'000;
+    for (std::uint64_t seed : skipSeeds()) {
+        for (int k : {0, 1, 2, 155, 156, 310, 311}) {
+            Rng single = afterWords(seed, k);
+            for (std::uint64_t i = 0; i < kMillion; ++i)
+                single.skipGaussian();
+            Rng batch = afterWords(seed, k);
+            batch.skipGaussians(kMillion);
+            ASSERT_EQ(peek(batch), peek(single))
+                << "seed " << seed << " k " << k;
+        }
+    }
+}
+
+TEST(Rng, SkipGaussiansInterleavesWithDraws)
+{
+    // Draws between batches start each batch at the offset the draws
+    // left, odd or even, and the draws see the stream the single skips
+    // leave.
+    Rng single(2027 * 7919 + 1), batch(2027 * 7919 + 1);
+    for (int i = 0; i < 2000; ++i) {
+        std::uint64_t n = (i * 37) % 401;
+        for (std::uint64_t j = 0; j < n; ++j)
+            single.skipGaussian();
+        batch.skipGaussians(n);
+        double mean = i % 3 - 1.0;
+        double sigma = 0.5 + i % 5;
+        ASSERT_EQ(bits(batch.gaussian(mean, sigma)),
+                  bits(single.gaussian(mean, sigma)))
+            << "round " << i;
+        if (i % 7 == 0) {
+            ASSERT_EQ(batch.engine()(), single.engine()()) << "round " << i;
+        }
+    }
+    EXPECT_EQ(peek(batch), peek(single));
+}
+
 TEST(Rng, FirstGaussianDrawsOfSeedOneArePinned)
 {
     // A change of engine or standard library that moves the noise

@@ -184,6 +184,27 @@ bits(double v)
     return std::bit_cast<std::uint64_t>(v);
 }
 
+/**
+ * Expect @p y to measure what @p x does, bit for bit: everything but
+ * the op id and the start and end ticks.
+ */
+void
+expectSameMeasurement(const OpRecord &x, const OpRecord &y)
+{
+    EXPECT_EQ(x.type, y.type);
+    EXPECT_EQ(x.category, y.category);
+    EXPECT_EQ(bits(x.duration_s), bits(y.duration_s));
+    EXPECT_EQ(bits(x.f_mhz), bits(y.f_mhz));
+    const npu::PipelineRatios &p = x.ratios;
+    const npu::PipelineRatios &q = y.ratios;
+    EXPECT_EQ(bits(p.cube), bits(q.cube));
+    EXPECT_EQ(bits(p.vector), bits(q.vector));
+    EXPECT_EQ(bits(p.scalar), bits(q.scalar));
+    EXPECT_EQ(bits(p.mte1), bits(q.mte1));
+    EXPECT_EQ(bits(p.mte2), bits(q.mte2));
+    EXPECT_EQ(bits(p.mte3), bits(q.mte3));
+}
+
 TEST_F(TraceTest, LateWindowSeesTheRecordsOfAnAlwaysOpenOne)
 {
     // Same seed on two identical chips: profiler A records from the
@@ -234,20 +255,9 @@ TEST_F(TraceTest, LateWindowSeesTheRecordsOfAnAlwaysOpenOne)
         const OpRecord &x = all[all.size() - n + i];
         const OpRecord &y = last[i];
         EXPECT_EQ(x.op_id, y.op_id);
-        EXPECT_EQ(x.type, y.type);
-        EXPECT_EQ(x.category, y.category);
         EXPECT_EQ(x.start, y.start);
         EXPECT_EQ(x.end, y.end);
-        EXPECT_EQ(bits(x.duration_s), bits(y.duration_s));
-        EXPECT_EQ(bits(x.f_mhz), bits(y.f_mhz));
-        const npu::PipelineRatios &p = x.ratios;
-        const npu::PipelineRatios &q = y.ratios;
-        EXPECT_EQ(bits(p.cube), bits(q.cube));
-        EXPECT_EQ(bits(p.vector), bits(q.vector));
-        EXPECT_EQ(bits(p.scalar), bits(q.scalar));
-        EXPECT_EQ(bits(p.mte1), bits(q.mte1));
-        EXPECT_EQ(bits(p.mte2), bits(q.mte2));
-        EXPECT_EQ(bits(p.mte3), bits(q.mte3));
+        expectSameMeasurement(x, y);
     }
     // The triggers put ops of the compared iteration at both
     // frequencies, so ratio noise was drawn at each.
@@ -281,6 +291,135 @@ TEST_F(TraceTest, LateWindowSeesTheRecordsOfAnAlwaysOpenOne)
     EXPECT_GT(non_compute, 0u);
     EXPECT_GT(core_and_one_transfer, 0u);
     EXPECT_GT(core_and_both_transfers, 0u);
+}
+
+TEST_F(TraceTest, WindowReopenedEveryIterationAfterASkippedStretch)
+{
+    // As runGuarded and runDriftLoop measure: no window during a
+    // warm-up stretch, then one opened before every iteration and its
+    // records taken after it.  Each iteration's records are then
+    // exactly those an always-open window keeps for it.
+    RunOptions options;
+    options.seed = 2027;
+    std::size_t n = workload_.opCount();
+    std::vector<SetFreqTrigger> triggers =
+        orderTriggers({{n / 2, 1200.0}, {n - 1, 1800.0}}, n);
+    std::vector<npu::CompiledOp> ops = compileIteration(config_, workload_);
+    RunHarness a(config_, workload_, ops, options);
+    RunHarness b(config_, workload_, ops, options);
+
+    constexpr std::size_t kSkipped = 3;
+    constexpr std::size_t kMeasured = 3;
+    a.profiler().openWindow();
+    for (std::size_t i = 0; i < kSkipped + kMeasured; ++i) {
+        if (i >= kSkipped)
+            b.profiler().openWindow();
+        for (RunHarness *h : {&a, &b}) {
+            h->enqueueIteration(triggers);
+            h->simulator().run();
+        }
+        if (i < kSkipped)
+            continue;
+        std::vector<OpRecord> measured = b.profiler().takeRecords();
+        const std::vector<OpRecord> &all = a.profiler().records();
+        ASSERT_EQ(measured.size(), n);
+        ASSERT_EQ(all.size(), (i + 1) * n);
+        for (std::size_t j = 0; j < n; ++j) {
+            const OpRecord &x = all[i * n + j];
+            EXPECT_EQ(x.op_id, measured[j].op_id);
+            EXPECT_EQ(x.start, measured[j].start);
+            expectSameMeasurement(x, measured[j]);
+        }
+    }
+}
+
+TEST_F(TraceTest, OneOffOpBeforeTheFirstWindowDrawsNothing)
+{
+    // B first runs a chip-owned copy of a registered Compute op, id
+    // included.  Only the compiled iteration's ops are registered, so
+    // the copy draws no noise and B's window measures what A's does,
+    // one op's time later.
+    auto compute = std::find_if(
+        workload_.iteration.begin(), workload_.iteration.end(),
+        [](const ops::Op &op) {
+            return op.hw.category == npu::OpCategory::Compute;
+        });
+    ASSERT_NE(compute, workload_.iteration.end());
+
+    RunOptions options;
+    options.seed = 9;
+    std::vector<npu::CompiledOp> ops = compileIteration(config_, workload_);
+    RunHarness a(config_, workload_, ops, options);
+    RunHarness b(config_, workload_, ops, options);
+    b.chip().enqueueOp(compute->hw, compute->id);
+    b.simulator().run();
+    Tick offset = b.simulator().now();
+    ASSERT_GT(offset, 0);
+
+    for (RunHarness *h : {&a, &b}) {
+        h->enqueueIteration({});
+        h->simulator().run();
+        h->profiler().openWindow();
+        h->enqueueIteration({});
+        h->simulator().run();
+    }
+    const std::vector<OpRecord> &x = a.profiler().records();
+    const std::vector<OpRecord> &y = b.profiler().records();
+    ASSERT_EQ(x.size(), workload_.opCount());
+    ASSERT_EQ(y.size(), x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(x[i].op_id, y[i].op_id);
+        EXPECT_EQ(x[i].start + offset, y[i].start);
+        expectSameMeasurement(x[i], y[i]);
+    }
+}
+
+TEST_F(TraceTest, SparseOpIdsProfileTheRecordsOfDenseOnes)
+{
+    // Op ids are only unique: ids far from 0..n-1, or in reverse
+    // order, change the records' op_id and nothing else.
+    std::size_t n = workload_.opCount();
+    models::Workload dense = workload_;
+    models::Workload offset = workload_;
+    models::Workload reversed = workload_;
+    constexpr std::uint64_t kOffset = 1'000'000'000;
+    for (std::size_t i = 0; i < n; ++i) {
+        dense.iteration[i].id = i;
+        offset.iteration[i].id = i + kOffset;
+        reversed.iteration[i].id = n - 1 - i;
+    }
+
+    WorkloadRunner runner(config_);
+    RunOptions options;
+    options.seed = 9;
+    options.warmup_seconds = 0.05;
+    options.cooldown_seconds = 0.01;
+    std::vector<SetFreqTrigger> triggers = {{n / 2, 1200.0}};
+    RunResult expected = runner.run(dense, options, triggers);
+    ASSERT_EQ(expected.records.size(), n);
+    for (const models::Workload *w : {&offset, &reversed}) {
+        RunResult got = runner.run(*w, options, triggers);
+        ASSERT_EQ(got.records.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const OpRecord &x = expected.records[i];
+            const OpRecord &y = got.records[i];
+            EXPECT_EQ(y.op_id, w->iteration[x.op_id].id);
+            EXPECT_EQ(x.start, y.start);
+            EXPECT_EQ(x.end, y.end);
+            expectSameMeasurement(x, y);
+        }
+    }
+}
+
+TEST_F(TraceTest, RegisteringAMismatchedCompiledIterationThrows)
+{
+    sim::Simulator simulator;
+    npu::NpuChip chip(simulator, config_);
+    Profiler profiler(chip, ProfilerNoise{}, 1);
+    std::vector<npu::CompiledOp> ops = compileIteration(config_, workload_);
+    ops.pop_back();
+    EXPECT_THROW(profiler.registerSequence(workload_.iteration, ops),
+                 std::invalid_argument);
 }
 
 TEST_F(TraceTest, CooldownExtendsSamples)
