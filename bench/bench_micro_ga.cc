@@ -1,9 +1,12 @@
 /**
  * @file
- * Microbenchmark (google-benchmark): model-based strategy evaluation
- * and GA generation throughput (Sect. 8.1).  The paper's case for the
- * modelling approach over model-free search is that one policy can be
- * scored in milliseconds instead of one full training iteration.
+ * Microbenchmark (google-benchmark): model-based strategy evaluation,
+ * GA generation throughput, a whole strategy search at the bench
+ * options (Sect. 7.4: population 200 x 600 generations, 12 refine
+ * sweeps) and its memetic refinement alone (Sect. 8.1).  The paper's
+ * case for the modelling approach over model-free search is that one
+ * policy can be scored in milliseconds instead of one full training
+ * iteration.
  */
 
 #include <benchmark/benchmark.h>
@@ -115,6 +118,61 @@ BM_GaGeneration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0) * 200);
 }
 
+/** The bench options of Sect. 7.4: 200 x 600, 12 refine sweeps. */
+dvfs::GaOptions
+benchOptions()
+{
+    dvfs::GaOptions options;
+    options.population = 200;
+    options.generations = 600;
+    options.mutation_rate = 0.15;
+    options.refine_sweeps = 12;
+    return options;
+}
+
+void
+BM_SearchStrategy(benchmark::State &state)
+{
+    Fixture &f = fixture();
+    for (auto _ : state) {
+        auto result =
+            dvfs::searchStrategy(*f.evaluator, f.prep.stages, benchOptions());
+        benchmark::DoNotOptimize(result.best_score);
+    }
+    state.counters["stages"] =
+        static_cast<double>(f.evaluator->stageCount());
+}
+
+void
+BM_Refinement(benchmark::State &state)
+{
+    // Refinement alone, from the bench search's pre-refinement genome:
+    // a one-generation GA of the baseline, the 1600/1800 prior and
+    // that genome as a warm-start prior, which is the best of the
+    // three and so where the refinement starts.
+    Fixture &f = fixture();
+    dvfs::GaOptions search = benchOptions();
+    search.refine_sweeps = 0;
+    dvfs::GaResult unrefined =
+        dvfs::searchStrategy(*f.evaluator, f.prep.stages, search);
+    dvfs::GaOptions options = benchOptions();
+    options.population = 3;
+    options.generations = 1;
+    options.multi_level_priors = false;
+    options.prior_individuals = {unrefined.best_mhz};
+
+    dvfs::GaResult result;
+    for (auto _ : state) {
+        result = dvfs::geneticSearch(*f.evaluator, f.prep.stages, options);
+        benchmark::DoNotOptimize(result.best_score);
+    }
+    if (result.pre_refine_score != unrefined.best_score)
+        state.SkipWithError("the refinement did not start from the "
+                            "search's pre-refinement genome");
+    state.counters["stages"] =
+        static_cast<double>(f.evaluator->stageCount());
+}
+
 void
 BM_EvaluatorConstruction(benchmark::State &state)
 {
@@ -128,6 +186,8 @@ BM_EvaluatorConstruction(benchmark::State &state)
 
 BENCHMARK(BM_PolicyEvaluation);
 BENCHMARK(BM_GaGeneration)->Arg(10)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SearchStrategy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Refinement)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EvaluatorConstruction)->Unit(benchmark::kMillisecond);
 
 } // namespace

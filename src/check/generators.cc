@@ -171,7 +171,7 @@ genSyntheticWorkload(Rng &rng, int min_ops, int max_ops)
 }
 
 TinyProblem
-genTinyProblem(Rng &rng, int max_stages, int max_freqs)
+genTinyProblem(Rng &rng, int max_stages, int max_freqs, int min_stages)
 {
     TinyProblem problem;
 
@@ -190,8 +190,8 @@ genTinyProblem(Rng &rng, int max_stages, int max_freqs)
 
     // Alternate sensitivity runs; a tiny FAI keeps every run its own
     // stage, so the stage count is exactly the run count.
-    int stage_target =
-        static_cast<int>(rng.uniformInt(1, std::max(1, max_stages)));
+    int stage_target = static_cast<int>(
+        rng.uniformInt(min_stages, std::max(min_stages, max_stages)));
     std::uint64_t id = 0;
     for (int s = 0; s < stage_target; ++s) {
         int ops_in_stage = static_cast<int>(rng.uniformInt(1, 3));

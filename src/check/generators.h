@@ -104,10 +104,11 @@ struct TinyProblem
 };
 
 /**
- * Generate a tiny problem with at most @p max_stages candidate stages
- * and at most @p max_freqs table frequencies.
+ * Generate a tiny problem with @p min_stages to @p max_stages candidate
+ * stages and at most @p max_freqs table frequencies.
  */
-TinyProblem genTinyProblem(Rng &rng, int max_stages, int max_freqs);
+TinyProblem genTinyProblem(Rng &rng, int max_stages, int max_freqs,
+                           int min_stages = 1);
 
 /**
  * Random preprocessable record stream: contiguous, time-ordered,

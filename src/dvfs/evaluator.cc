@@ -1,6 +1,8 @@
 #include "dvfs/evaluator.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/units.h"
@@ -71,39 +73,87 @@ StageEvaluator::evaluate(
 void
 StageEvaluator::evaluate(std::span<const std::uint8_t> genomes,
                          std::span<const std::size_t> rows,
+                         std::span<const std::size_t> from,
+                         std::span<Sums> checkpoints,
                          std::span<StrategyEvaluation> out) const
 {
     const std::size_t n = stage_count_;
+    const std::size_t blocks = blockCount();
     if (genomes.size() % n != 0 || genomes.size() / n != out.size())
         throw std::invalid_argument("evaluate: genome buffer size mismatch");
-    for (std::size_t r : rows) {
-        if (r >= out.size())
+    if (checkpoints.size() != out.size() * blocks)
+        throw std::invalid_argument(
+            "evaluate: checkpoint buffer size mismatch");
+    if (from.size() != rows.size())
+        throw std::invalid_argument("evaluate: resume block count mismatch");
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        if (rows[k] >= out.size())
             throw std::invalid_argument("evaluate: row out of range");
+        if (from[k] >= blocks)
+            throw std::invalid_argument(
+                "evaluate: resume block out of range");
     }
 
-    auto row = [&](std::size_t k) { return genomes.data() + rows[k] * n; };
+    // Rows in resume-block order, so that a group's four chains start
+    // close together: its earlier-starting rows sum alone up to the
+    // group's last start.
+    std::vector<std::size_t> order(rows.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [from](std::size_t a, std::size_t b) {
+                  return from[a] < from[b];
+              });
+    auto genome = [&](std::size_t k) { return genomes.data() + rows[k] * n; };
+    auto saved = [&](std::size_t k) {
+        return checkpoints.data() + rows[k] * blocks;
+    };
+
     const std::size_t stride = freqs_mhz_.size();
-    std::size_t k = 0;
-    // Four independent summation chains per field hide the add
-    // latency that one genome's serial chain exposes.
-    for (; k + 4 <= rows.size(); k += 4) {
-        const std::uint8_t *g0 = row(k), *g1 = row(k + 1);
-        const std::uint8_t *g2 = row(k + 2), *g3 = row(k + 3);
-        Sums a, b, c, d;
-        const Cell *stage = cells_.data();
-        for (std::size_t s = 0; s < n; ++s, stage += stride) {
-            a.add(stage[g0[s]]);
-            b.add(stage[g1[s]]);
-            c.add(stage[g2[s]]);
-            d.add(stage[g3[s]]);
+    std::size_t i = 0;
+    for (; i + 4 <= order.size(); i += 4) {
+        const std::size_t k0 = order[i], k1 = order[i + 1];
+        const std::size_t k2 = order[i + 2], k3 = order[i + 3];
+        const std::size_t start = from[k3];
+        Sums a = saved(k0)[from[k0]], b = saved(k1)[from[k1]];
+        Sums c = saved(k2)[from[k2]], d = saved(k3)[start];
+        sumBlocks(genome(k0), from[k0], start, a, saved(k0));
+        sumBlocks(genome(k1), from[k1], start, b, saved(k1));
+        sumBlocks(genome(k2), from[k2], start, c, saved(k2));
+
+        // Four independent summation chains per field hide the add
+        // latency that one genome's serial chain exposes.
+        const std::uint8_t *g0 = genome(k0), *g1 = genome(k1);
+        const std::uint8_t *g2 = genome(k2), *g3 = genome(k3);
+        Sums *s0 = saved(k0), *s1 = saved(k1);
+        Sums *s2 = saved(k2), *s3 = saved(k3);
+        const Cell *stage = cells_.data() + start * kBlockStages * stride;
+        for (std::size_t blk = start; blk < blocks; ++blk) {
+            const std::size_t end = std::min(n, (blk + 1) * kBlockStages);
+            for (std::size_t s = blk * kBlockStages; s < end;
+                 ++s, stage += stride) {
+                a.add(stage[g0[s]]);
+                b.add(stage[g1[s]]);
+                c.add(stage[g2[s]]);
+                d.add(stage[g3[s]]);
+            }
+            if (blk + 1 < blocks) {
+                s0[blk + 1] = a;
+                s1[blk + 1] = b;
+                s2[blk + 1] = c;
+                s3[blk + 1] = d;
+            }
         }
-        out[rows[k]] = finish(a);
-        out[rows[k + 1]] = finish(b);
-        out[rows[k + 2]] = finish(c);
-        out[rows[k + 3]] = finish(d);
+        out[rows[k0]] = finish(a);
+        out[rows[k1]] = finish(b);
+        out[rows[k2]] = finish(c);
+        out[rows[k3]] = finish(d);
     }
-    for (; k < rows.size(); ++k)
-        out[rows[k]] = finish(sum(row(k)));
+    for (; i < order.size(); ++i) {
+        const std::size_t k = order[i];
+        Sums sums = saved(k)[from[k]];
+        sumBlocks(genome(k), from[k], blocks, sums, saved(k));
+        out[rows[k]] = finish(sums);
+    }
 }
 
 StageEvaluator::Sums
@@ -113,6 +163,22 @@ StageEvaluator::sum(const std::uint8_t *genome) const
     for (std::size_t s = 0; s < stage_count_; ++s)
         sums.add(cellAt(s, genome[s]));
     return sums;
+}
+
+void
+StageEvaluator::sumBlocks(const std::uint8_t *genome, std::size_t first,
+                          std::size_t last, Sums &sums,
+                          Sums *checkpoints) const
+{
+    const std::size_t blocks = blockCount();
+    for (std::size_t blk = first; blk < last; ++blk) {
+        const std::size_t end =
+            std::min(stage_count_, (blk + 1) * kBlockStages);
+        for (std::size_t s = blk * kBlockStages; s < end; ++s)
+            sums.add(cellAt(s, genome[s]));
+        if (blk + 1 < blocks)
+            checkpoints[blk + 1] = sums;
+    }
 }
 
 StrategyEvaluation

@@ -17,7 +17,13 @@
  * in the same (serial, stage-order) sequence.  The batched overload
  * scores many genomes of a flat population buffer at once, four per
  * pass over the stages, and returns bitwise what evaluate() returns
- * for each.
+ * for each.  It resumes each genome from a checkpoint: the running
+ * sums at every kBlockStages-th stage, kept per row by the caller.  A
+ * genome whose first genes equal those of a row already summed (a GA
+ * child and its parent, a refinement probe and the best genome) adds
+ * the same cells in the same order from the same zero up to there,
+ * so it may start from that row's checkpoint at or before its first
+ * differing gene and still match evaluate() bit for bit.
  */
 
 #ifndef OPDVFS_DVFS_EVALUATOR_H
@@ -82,20 +88,6 @@ class StageEvaluator
     StrategyEvaluation
     evaluate(const std::vector<std::uint8_t> &freq_index_per_stage) const;
 
-    /**
-     * Evaluate the listed rows of a flat genome buffer, where row r is
-     * genomes[r * stageCount(), (r + 1) * stageCount()).  For each r in
-     * @p rows, out[r] receives bitwise what evaluate() returns for that
-     * row: four rows are summed per pass over the stages, each in
-     * serial stage order.  Rows not listed leave their slot untouched.
-     * @throws std::invalid_argument when @p genomes is not a whole
-     *         number of rows, @p out does not hold one slot per row, or
-     *         a listed row is out of range
-     */
-    void evaluate(std::span<const std::uint8_t> genomes,
-                  std::span<const std::size_t> rows,
-                  std::span<StrategyEvaluation> out) const;
-
     /** Evaluate the all-max-frequency baseline. */
     StrategyEvaluation evaluateBaseline() const;
 
@@ -119,8 +111,18 @@ class StageEvaluator
         return cells_[stage * freqs_mhz_.size() + freq];
     }
 
-  private:
-    /** Per-field running sums of one strategy's cells. */
+    /** Stages per checkpoint block of the batched overload. */
+    static constexpr std::size_t kBlockStages = 64;
+
+    /** Checkpoints per row: one per started block of kBlockStages. */
+    std::size_t
+    blockCount() const
+    {
+        return (stage_count_ + kBlockStages - 1) / kBlockStages;
+    }
+
+    /** Per-field running sums of one strategy's cells.  Checkpoint b
+     *  of a row holds those of its stages [0, b * kBlockStages). */
     struct Sums
     {
         double seconds = 0.0;
@@ -138,8 +140,37 @@ class StageEvaluator
         }
     };
 
+    /**
+     * Evaluate the listed rows of a flat genome buffer, where row r is
+     * genomes[r * stageCount(), (r + 1) * stageCount()) and its
+     * checkpoints are checkpoints[r * blockCount(), (r + 1) *
+     * blockCount()).  Listed row rows[k] resumes from its checkpoint
+     * from[k], which must hold the row's serial sums up to there (zero
+     * sums at block 0); no later checkpoint is read, and each later
+     * one is rewritten as the row passes it.  out[rows[k]] receives
+     * bitwise what evaluate() returns for the row: four rows are
+     * summed per pass over the stages, each in serial stage order.
+     * Rows not listed leave their slot and checkpoints untouched.
+     * @throws std::invalid_argument when @p genomes is not a whole
+     *         number of rows, @p out does not hold one slot per row,
+     *         @p checkpoints does not hold one row per slot, @p from
+     *         does not hold one block per listed row, a listed row is
+     *         out of range or a resume block is not below blockCount()
+     */
+    void evaluate(std::span<const std::uint8_t> genomes,
+                  std::span<const std::size_t> rows,
+                  std::span<const std::size_t> from,
+                  std::span<Sums> checkpoints,
+                  std::span<StrategyEvaluation> out) const;
+
+  private:
     /** One genome's cells summed in stage order. */
     Sums sum(const std::uint8_t *genome) const;
+
+    /** Continue @p sums over blocks [first, last) of @p genome, storing
+     *  each checkpoint it passes into @p checkpoints (the row's). */
+    void sumBlocks(const std::uint8_t *genome, std::size_t first,
+                   std::size_t last, Sums &sums, Sums *checkpoints) const;
 
     /** The temperature fix point over a strategy's summed cells. */
     StrategyEvaluation finish(const Sums &sums) const;

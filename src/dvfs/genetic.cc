@@ -10,6 +10,8 @@
 
 namespace opdvfs::dvfs {
 
+using Sums = StageEvaluator::Sums;
+
 double
 strategyScore(const StrategyEvaluation &eval, double perf_lower_bound)
 {
@@ -110,12 +112,20 @@ evolve(const StageEvaluator &evaluator, const std::vector<Stage> &stages,
     // genes, and children are bred straight into `next`.  Both buffers
     // (they swap each generation) end in a spare row: a second child
     // bred once the generation is full lands there, so its mutation
-    // draws still advance the random stream.
+    // draws still advance the random stream.  Beside each buffer sit
+    // its scored rows' checkpoints, the evaluator's partial sums at
+    // every block: a child resumes its sums from its parent's.
     const auto pop = static_cast<std::size_t>(options.population);
+    const std::size_t blocks = evaluator.blockCount();
     std::vector<std::uint8_t> population((pop + 1) * n);
     std::vector<std::uint8_t> next((pop + 1) * n);
+    std::vector<Sums> checkpoints(pop * blocks);
+    std::vector<Sums> next_checkpoints(pop * blocks);
     auto row = [n](std::vector<std::uint8_t> &rows, std::size_t i) {
         return rows.data() + i * n;
+    };
+    auto saved = [blocks](std::vector<Sums> &rows, std::size_t i) {
+        return rows.data() + i * blocks;
     };
 
     // --- first generation -------------------------------------------------
@@ -156,10 +166,13 @@ evolve(const StageEvaluator &evaluator, const std::vector<Stage> &stages,
     std::vector<double> scores(pop), next_scores(pop), prefix(pop);
     std::vector<StrategyEvaluation> evals(pop), next_evals(pop);
     std::vector<std::size_t> order(pop);
-    // Rows to evaluate: all of generation 0, then each generation's
-    // children that differ from the row they were copied from.
-    std::vector<std::size_t> dirty(pop);
+    // Rows to evaluate and the block each resumes at: all of generation
+    // 0 from block 0, then each generation's children that differ from
+    // the row they were bred from, at the block of the first gene any
+    // operator touched.
+    std::vector<std::size_t> dirty(pop), resume(pop, 0);
     std::iota(dirty.begin(), dirty.end(), std::size_t{0});
+    std::vector<Sums> best_checkpoints(blocks);
     result.best_score = -1.0;
     result.score_history.reserve(
         static_cast<std::size_t>(options.generations));
@@ -167,7 +180,7 @@ evolve(const StageEvaluator &evaluator, const std::vector<Stage> &stages,
     for (int gen = 0; gen < options.generations; ++gen) {
         evaluator.evaluate(
             std::span<const std::uint8_t>(population.data(), pop * n),
-            dirty, evals);
+            dirty, resume, checkpoints, evals);
         for (std::size_t i : dirty)
             scores[i] = strategyScore(evals[i], per_lb);
         for (std::size_t i = 0; i < pop; ++i) {
@@ -175,6 +188,8 @@ evolve(const StageEvaluator &evaluator, const std::vector<Stage> &stages,
                 result.best_score = scores[i];
                 result.best_genome.assign(row(population, i),
                                           row(population, i) + n);
+                best_checkpoints.assign(saved(checkpoints, i),
+                                        saved(checkpoints, i) + blocks);
                 result.best_eval = evals[i];
                 result.converged_at = gen;
             }
@@ -197,19 +212,56 @@ evolve(const StageEvaluator &evaluator, const std::vector<Stage> &stages,
 
         // evaluate() is a pure function of the genome, so an elite,
         // or a child that crossover and mutation left bytewise equal
-        // to the row it was copied from, inherits that row's scores.
+        // to the row it was bred from, inherits that row's scores and
+        // checkpoints.  Any other child matches its parent before
+        // `first`, the lowest gene an operator touched, so it keeps
+        // the parent's checkpoints up to that gene's block and resumes
+        // there.
         auto inherit = [&](std::size_t child, std::size_t parent) {
             next_evals[child] = evals[parent];
             next_scores[child] = scores[parent];
+            std::copy_n(saved(checkpoints, parent), blocks,
+                        saved(next_checkpoints, child));
         };
-        auto settle = [&](std::size_t child, std::size_t parent) {
-            if (std::memcmp(row(next, child), row(population, parent), n)
-                == 0)
+        auto settle = [&](std::size_t child, std::size_t parent,
+                          std::size_t first) {
+            if (std::memcmp(row(next, child) + first,
+                            row(population, parent) + first, n - first)
+                == 0) {
                 inherit(child, parent);
-            else
-                dirty.push_back(child);
+                return;
+            }
+            const std::size_t block = first / StageEvaluator::kBlockStages;
+            std::copy_n(saved(checkpoints, parent), block + 1,
+                        saved(next_checkpoints, child));
+            dirty.push_back(child);
+            resume.push_back(block);
+        };
+        // Point and block mutation of one child; returns the lowest
+        // gene either touched, n when neither fired.
+        auto mutate = [&](std::uint8_t *child) {
+            std::size_t first = n;
+            if (rng.chance(options.mutation_rate)) {
+                std::size_t at = rng.index(n);
+                child[at] = static_cast<std::uint8_t>(rng.index(freqs.size()));
+                first = at;
+            }
+            // Block mutation: neighbouring stages carry similar
+            // bottlenecks, so moving a contiguous run together
+            // explores the space far faster than point moves.
+            if (rng.chance(options.block_mutation_rate)) {
+                std::size_t start = rng.index(n);
+                std::size_t len =
+                    rng.index(std::min<std::size_t>(n - start, 64)) + 1;
+                auto value =
+                    static_cast<std::uint8_t>(rng.index(freqs.size()));
+                std::fill_n(child + start, len, value);
+                first = std::min(first, start);
+            }
+            return first;
         };
         dirty.clear();
+        resume.clear();
         filled = 0;
         for (; filled < pop && static_cast<int>(filled) < options.elite;
              ++filled) {
@@ -221,65 +273,95 @@ evolve(const StageEvaluator &evaluator, const std::vector<Stage> &stages,
         while (filled < pop) {
             std::size_t ia = rng.weightedIndex(prefix);
             std::size_t ib = rng.weightedIndex(prefix);
-            std::uint8_t *a = row(next, filled);
-            std::uint8_t *b = row(next, filled + 1);
-            std::copy_n(row(population, ia), n, a);
-            std::copy_n(row(population, ib), n, b);
+            const std::uint8_t *pa = row(population, ia);
+            const std::uint8_t *pb = row(population, ib);
 
             // Tail-swap crossover (Sect. 6.3.3): exchange the last k
-            // frequency settings.
-            if (n > 1 && rng.chance(options.crossover_rate)) {
-                std::size_t k = rng.index(n - 1) + 1;
-                std::swap_ranges(a + (n - k), a + n, b + (n - k));
-            }
+            // frequency settings.  Each child is written once, its
+            // head from its own parent and its tail from the other.
+            std::size_t cut = n;
+            if (n > 1 && rng.chance(options.crossover_rate))
+                cut = n - (rng.index(n - 1) + 1);
+            std::uint8_t *a = row(next, filled);
+            std::uint8_t *b = row(next, filled + 1);
+            std::memcpy(a, pa, cut);
+            std::memcpy(a + cut, pb + cut, n - cut);
+            std::memcpy(b, pb, cut);
+            std::memcpy(b + cut, pa + cut, n - cut);
 
-            for (std::uint8_t *child : {a, b}) {
-                if (rng.chance(options.mutation_rate)) {
-                    std::size_t at = rng.index(n);
-                    child[at] =
-                        static_cast<std::uint8_t>(rng.index(freqs.size()));
-                }
-                // Block mutation: neighbouring stages carry similar
-                // bottlenecks, so moving a contiguous run together
-                // explores the space far faster than point moves.
-                if (rng.chance(options.block_mutation_rate)) {
-                    std::size_t start = rng.index(n);
-                    std::size_t len = rng.index(std::min<std::size_t>(
-                                          n - start, 64)) + 1;
-                    auto value = static_cast<std::uint8_t>(
-                        rng.index(freqs.size()));
-                    std::fill_n(child + start, len, value);
-                }
-            }
-
-            settle(filled++, ia);
+            const std::size_t first_a = std::min(cut, mutate(a));
+            const std::size_t first_b = std::min(cut, mutate(b));
+            settle(filled++, ia, first_a);
             if (filled < pop)
-                settle(filled++, ib);
+                settle(filled++, ib, first_b);
         }
         std::swap(population, next);
         std::swap(scores, next_scores);
         std::swap(evals, next_evals);
+        std::swap(checkpoints, next_checkpoints);
     }
 
     // Memetic refinement: single-gene hill climbing from the GA's best
     // individual (library extension; disable with refine_sweeps = 0).
+    // A sweep tries each stage in order, -1 before +1, skipping genes
+    // outside the table, and keeps a move whose score is strictly
+    // higher.  Up to four moves are scored per batched call, each
+    // resumed from the best genome's checkpoint at or before its
+    // stage.  An accepted move drops the rest of its batch and the
+    // sweep goes on from the move after it, built from the new best,
+    // exactly as a one-move-at-a-time sweep would.
     result.pre_refine_score = result.best_score;
+    constexpr std::size_t kBatch = 4;
+    static constexpr std::size_t kBatchRows[kBatch] = {0, 1, 2, 3};
+    std::vector<std::uint8_t> candidates(kBatch * n);
+    std::vector<Sums> candidate_checkpoints(kBatch * blocks);
+    std::vector<StrategyEvaluation> candidate_evals(kBatch);
+    std::vector<std::size_t> moves, from;
+    moves.reserve(kBatch);
+    from.reserve(kBatch);
     for (int sweep = 0; sweep < options.refine_sweeps; ++sweep) {
         bool improved = false;
-        for (std::size_t s = 0; s < n; ++s) {
-            for (int step : {-1, +1}) {
-                int gene = static_cast<int>(result.best_genome[s]) + step;
+        // Move m sets stage m / 2 one step down (even m) or up.
+        std::size_t move = 0;
+        while (move < 2 * n) {
+            moves.clear();
+            from.clear();
+            for (; move < 2 * n && moves.size() < kBatch; ++move) {
+                const std::size_t s = move / 2;
+                int gene = static_cast<int>(result.best_genome[s])
+                    + (move % 2 == 0 ? -1 : +1);
                 if (gene < 0 || gene > static_cast<int>(max_index))
                     continue;
-                std::vector<std::uint8_t> candidate = result.best_genome;
+                const std::size_t block = s / StageEvaluator::kBlockStages;
+                std::uint8_t *candidate =
+                    candidates.data() + moves.size() * n;
+                std::copy_n(result.best_genome.data(), n, candidate);
                 candidate[s] = static_cast<std::uint8_t>(gene);
-                StrategyEvaluation eval = evaluator.evaluate(candidate);
-                double score = strategyScore(eval, per_lb);
+                std::copy_n(best_checkpoints.data(), block + 1,
+                            saved(candidate_checkpoints, moves.size()));
+                moves.push_back(move);
+                from.push_back(block);
+            }
+            const std::size_t batch = moves.size();
+            evaluator.evaluate(
+                std::span<const std::uint8_t>(candidates.data(), batch * n),
+                std::span<const std::size_t>(kBatchRows, batch), from,
+                std::span<Sums>(candidate_checkpoints.data(),
+                                batch * blocks),
+                std::span<StrategyEvaluation>(candidate_evals.data(),
+                                              batch));
+            for (std::size_t k = 0; k < batch; ++k) {
+                double score = strategyScore(candidate_evals[k], per_lb);
                 if (score > result.best_score) {
                     result.best_score = score;
-                    result.best_genome = std::move(candidate);
-                    result.best_eval = eval;
+                    std::copy_n(candidates.data() + k * n, n,
+                                result.best_genome.data());
+                    std::copy_n(saved(candidate_checkpoints, k), blocks,
+                                best_checkpoints.data());
+                    result.best_eval = candidate_evals[k];
                     improved = true;
+                    move = moves[k] + 1;
+                    break;
                 }
             }
         }

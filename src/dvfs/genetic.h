@@ -16,8 +16,15 @@
  * individuals.  Each generation scores its individuals, then breeds
  * the next generation with score-proportional selection, tail-swap
  * crossover and point and block mutation.  Populations live in flat
- * byte buffers; a child equal to the row it was copied from keeps that
- * row's score, and only the other rows are evaluated.
+ * byte buffers, each row beside the evaluator's checkpoints of its
+ * partial sums.  A child is written once, head from one parent and
+ * tail from the other, and its breeding records the lowest gene any
+ * operator touched: a child still equal to the row it was bred from
+ * keeps that row's score and checkpoints, and any other child resumes
+ * its sums from its parent's checkpoint at or before that gene.  The
+ * optional refinement sweep scores its single-gene moves four at a
+ * time the same way, resumed from the best genome's checkpoints, and
+ * accepts them in the order a one-move-at-a-time sweep would.
  */
 
 #ifndef OPDVFS_DVFS_GENETIC_H

@@ -137,21 +137,36 @@ TEST(StageEvaluator, GenomeLengthValidated)
     std::vector<std::uint8_t> wrong(evaluator.stageCount() + 1, 0);
     EXPECT_THROW(evaluator.evaluate(wrong), std::invalid_argument);
 
-    // The batched overload checks its buffer likewise: whole rows, one
-    // output slot per row, every listed row in range.
+    // The batched overload checks its buffers likewise: whole rows,
+    // one output slot and one row of checkpoints per row, one resume
+    // block per listed row, every listed row in range and every resume
+    // block below the block count.
     const std::size_t n = evaluator.stageCount();
+    const std::size_t blocks = evaluator.blockCount();
     std::vector<std::uint8_t> rows(2 * n, 0);
     std::vector<StrategyEvaluation> out(2);
+    std::vector<StageEvaluator::Sums> saved(2 * blocks);
     std::vector<std::size_t> listed = {1, 0};
-    EXPECT_NO_THROW(evaluator.evaluate(rows, listed, out));
+    std::vector<std::size_t> from = {blocks - 1, 0};
+    EXPECT_NO_THROW(evaluator.evaluate(rows, listed, from, saved, out));
     std::vector<std::uint8_t> ragged(2 * n + 1, 0);
-    EXPECT_THROW(evaluator.evaluate(ragged, listed, out),
+    EXPECT_THROW(evaluator.evaluate(ragged, listed, from, saved, out),
                  std::invalid_argument);
     std::vector<StrategyEvaluation> one_slot(1);
-    EXPECT_THROW(evaluator.evaluate(rows, listed, one_slot),
+    EXPECT_THROW(evaluator.evaluate(rows, listed, from, saved, one_slot),
                  std::invalid_argument);
     std::vector<std::size_t> beyond = {0, 2};
-    EXPECT_THROW(evaluator.evaluate(rows, beyond, out),
+    EXPECT_THROW(evaluator.evaluate(rows, beyond, from, saved, out),
+                 std::invalid_argument);
+    std::vector<std::size_t> past_last_block = {blocks, 0};
+    EXPECT_THROW(
+        evaluator.evaluate(rows, listed, past_last_block, saved, out),
+        std::invalid_argument);
+    std::vector<std::size_t> one_block = {0};
+    EXPECT_THROW(evaluator.evaluate(rows, listed, one_block, saved, out),
+                 std::invalid_argument);
+    std::vector<StageEvaluator::Sums> short_saved(2 * blocks - 1);
+    EXPECT_THROW(evaluator.evaluate(rows, listed, from, short_saved, out),
                  std::invalid_argument);
 }
 

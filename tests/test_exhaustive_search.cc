@@ -7,14 +7,18 @@
  * for bit: genome, frequencies, score, its evaluation and the baseline
  * evaluation.  On one stage the whole GaResult matches, history and
  * convergence generation included.  Each (workload, seed) is profiled
- * once and searched at every target.
+ * once and searched at every target.  Two stages with identical cell
+ * tables pin the enumeration's tie rule: of two bitwise-equal optima,
+ * the first in odometer order wins.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dvfs/evaluator.h"
@@ -171,6 +175,106 @@ TEST(ExhaustiveSearch, MatchesTheGaWholeOnOneStageFirstContacts)
             ++variant;
         }
     }
+}
+
+/**
+ * Two stages with bitwise-identical cell tables: one partly
+ * frequency-sensitive operator each, profiled identically.  Genomes
+ * (i, j) and (j, i) then sum the same two cells in swapped order and,
+ * addition being commutative, score bitwise equal.
+ */
+struct TwinStages
+{
+    npu::FreqTable table{npu::FreqTableConfig{}};
+    power::PowerModel power_model{constants(), table};
+    perf::PerfModelRepository repo;
+    std::vector<Stage> stages;
+    std::unordered_map<std::uint64_t, power::OpPowerModel> op_power;
+    std::unique_ptr<StageEvaluator> evaluator;
+
+    TwinStages()
+    {
+        for (double f : {1000.0, 1800.0}) {
+            std::vector<trace::OpRecord> records;
+            for (std::uint64_t id : {0u, 1u}) {
+                trace::OpRecord r;
+                r.op_id = id;
+                r.type = "MatMul";
+                r.category = npu::OpCategory::Compute;
+                r.start = static_cast<Tick>(id) * 10 * kTicksPerMs;
+                r.end = r.start + 10 * kTicksPerMs;
+                // 30% slower at 1000 MHz than at 1800.
+                r.duration_s = f == 1800.0 ? 10e-3 : 13e-3;
+                r.f_mhz = f;
+                r.ratios.cube = 0.6;
+                records.push_back(r);
+                if (f == 1800.0) {
+                    Stage stage;
+                    stage.start = r.start;
+                    stage.duration = r.end - r.start;
+                    stage.high_frequency = true;
+                    stage.first_op = static_cast<std::size_t>(id);
+                    stage.op_ids = {id};
+                    stages.push_back(std::move(stage));
+                    op_power[id] = power::OpPowerModel{2e-8, 8e-8};
+                }
+            }
+            repo.addProfile(f, records);
+        }
+        perf::PerfBuildOptions options;
+        options.kind = perf::FitFunction::QuadOverF;
+        repo.fitAll(options);
+        evaluator = std::make_unique<StageEvaluator>(
+            stages, repo, power_model, op_power, table);
+    }
+};
+
+TEST(ExhaustiveSearch, FirstOfTwoEqualOptimaInOdometerOrderWins)
+{
+    TwinStages twins;
+    const StageEvaluator &evaluator = *twins.evaluator;
+    for (std::size_t f = 0; f < evaluator.freqCount(); ++f) {
+        const StageEvaluator::Cell &a = evaluator.cellAt(0, f);
+        const StageEvaluator::Cell &b = evaluator.cellAt(1, f);
+        ASSERT_TRUE(sameBits(a.seconds, b.seconds)
+                    && sameBits(a.aicore_joules_no_t, b.aicore_joules_no_t)
+                    && sameBits(a.soc_joules_no_t, b.soc_joules_no_t)
+                    && sameBits(a.volt_seconds, b.volt_seconds))
+            << f;
+    }
+
+    // At a 4% loss target both stages cannot drop to the same lower
+    // point, so the optimum is one stage a step below the other: two
+    // mirror-image genomes, bitwise tied.
+    GaOptions options;
+    options.perf_loss_target = 0.04;
+    double per_lb = 1e-6 / evaluator.evaluateBaseline().seconds
+        * (1.0 - options.perf_loss_target);
+    double best = -1.0;
+    std::vector<std::vector<std::uint8_t>> optima; // in odometer order
+    for (std::size_t g1 = 0; g1 < evaluator.freqCount(); ++g1) {
+        for (std::size_t g0 = 0; g0 < evaluator.freqCount(); ++g0) {
+            std::vector<std::uint8_t> genome = {
+                static_cast<std::uint8_t>(g0), static_cast<std::uint8_t>(g1)};
+            double score = strategyScore(evaluator.evaluate(genome), per_lb);
+            if (score > best)
+                optima.clear();
+            if (score >= best) {
+                best = score;
+                optima.push_back(genome);
+            }
+        }
+    }
+    ASSERT_EQ(optima.size(), 2u);
+    ASSERT_NE(optima[0][0], optima[0][1]);
+    ASSERT_EQ(optima[1],
+              (std::vector<std::uint8_t>{optima[0][1], optima[0][0]}));
+
+    // The first in odometer order (stage 0 fastest), stage 0 high.
+    GaResult result = exhaustiveSearch(evaluator, twins.stages, options);
+    EXPECT_EQ(result.best_genome, optima[0]);
+    EXPECT_GT(result.best_genome[0], result.best_genome[1]);
+    EXPECT_TRUE(sameBits(result.best_score, best));
 }
 
 } // namespace

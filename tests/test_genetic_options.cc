@@ -341,5 +341,203 @@ TEST(SearchRouting, EnumerationVisitsEveryPointOfA256PointTable)
     EXPECT_EQ(result.best_score, best);
 }
 
+/** The serial refinement's result, and which acceptances it made. */
+struct SerialRefinement
+{
+    std::vector<std::uint8_t> genome;
+    double score = 0.0;
+    StrategyEvaluation eval;
+    /** Two moves accepted back to back at adjacent stages. */
+    bool adjacent = false;
+    /** A -1 move accepted where the +1 probe of the genome before it
+     *  would also have beaten the new score. */
+    bool stale_up_wins = false;
+};
+
+/**
+ * The refinement loop as it ran before batching: every candidate a
+ * fresh copy of the best genome, scored alone by evaluate().  The
+ * reference the batched sweep must reproduce bit for bit.  (Two moves
+ * at one stage are never accepted back to back: the +1 after an
+ * accepted -1 rebuilds the genome it replaced.  What a batch must get
+ * right there is to rebuild that +1 at all, rather than score the one
+ * probed on the old genome.)
+ */
+SerialRefinement
+serialRefine(const StageEvaluator &evaluator, const GaResult &start,
+             double per_lb, int sweeps)
+{
+    const auto max_index = static_cast<int>(evaluator.freqCount() - 1);
+    SerialRefinement out{start.best_genome, start.best_score,
+                         start.best_eval};
+    for (int sweep = 0; sweep < sweeps; ++sweep) {
+        bool improved = false;
+        std::size_t last_stage = out.genome.size();
+        for (std::size_t s = 0; s < out.genome.size(); ++s) {
+            for (int step : {-1, +1}) {
+                int gene = static_cast<int>(out.genome[s]) + step;
+                if (gene < 0 || gene > max_index)
+                    continue;
+                std::vector<std::uint8_t> candidate = out.genome;
+                candidate[s] = static_cast<std::uint8_t>(gene);
+                StrategyEvaluation eval = evaluator.evaluate(candidate);
+                double score = strategyScore(eval, per_lb);
+                if (score > out.score) {
+                    out.adjacent |= last_stage + 1 == s;
+                    if (step == -1 && gene + 2 <= max_index) {
+                        std::vector<std::uint8_t> up = out.genome;
+                        up[s] = static_cast<std::uint8_t>(gene + 2);
+                        out.stale_up_wins |=
+                            strategyScore(evaluator.evaluate(up), per_lb)
+                            > score;
+                    }
+                    last_stage = s;
+                    out.score = score;
+                    out.genome = std::move(candidate);
+                    out.eval = eval;
+                    improved = true;
+                }
+            }
+        }
+        if (!improved)
+            break;
+    }
+    return out;
+}
+
+/**
+ * Two stages: a long frequency-insensitive one, and a short one whose
+ * profiled time peaks at 1400 MHz (11, 12 and 2 ms at 1000, 1400 and
+ * 1800 MHz, interpolated in cycles).  From 1400 MHz the refinement
+ * accepts -1, and the +1 probe of the genome before that move scores
+ * higher still: a sweep that scored it would take it.
+ */
+struct BumpFixture
+{
+    npu::FreqTable table{npu::FreqTableConfig{}};
+    power::PowerModel power_model{TinyFixture::initConstants(), table};
+    perf::PerfModelRepository repo;
+    std::vector<Stage> stages;
+    std::unordered_map<std::uint64_t, power::OpPowerModel> op_power;
+    std::unique_ptr<StageEvaluator> evaluator;
+
+    BumpFixture()
+    {
+        const double stage_ms[3][2] = {{100.0, 11.0},
+                                       {100.0, 12.0},
+                                       {100.0, 2.0}};
+        const double freqs[3] = {1000.0, 1400.0, 1800.0};
+        for (int f = 0; f < 3; ++f) {
+            std::vector<trace::OpRecord> records;
+            Tick t = 0;
+            for (int i = 0; i < 2; ++i) {
+                trace::OpRecord r;
+                r.op_id = static_cast<std::uint64_t>(i);
+                r.type = i == 0 ? "AllReduce" : "MatMul";
+                r.category = i == 0 ? npu::OpCategory::Communication
+                                    : npu::OpCategory::Compute;
+                r.duration_s = stage_ms[f][i] * 1e-3;
+                r.start = t;
+                r.end = t + static_cast<Tick>(stage_ms[2][i] * kTicksPerMs);
+                t = r.end;
+                r.f_mhz = freqs[f];
+                r.ratios.cube = i == 0 ? 0.0 : 0.95;
+                records.push_back(r);
+                if (f == 2) {
+                    Stage stage;
+                    stage.start = r.start;
+                    stage.duration = r.end - r.start;
+                    stage.high_frequency = i == 1;
+                    stage.first_op = static_cast<std::size_t>(i);
+                    stage.op_ids = {r.op_id};
+                    stages.push_back(std::move(stage));
+                }
+            }
+            repo.addProfile(freqs[f], records);
+        }
+        op_power[0] = power::OpPowerModel{1e-9, 4e-8};
+        op_power[1] = power::OpPowerModel{2e-8, 8e-8};
+        perf::PerfBuildOptions options;
+        options.kind = perf::FitFunction::PwlCycles;
+        repo.fitAll(options);
+        evaluator = std::make_unique<StageEvaluator>(
+            stages, repo, power_model, op_power, table);
+    }
+};
+
+/** What the batched refinements of a search showed. */
+struct Coverage
+{
+    bool adjacent = false;
+    bool stale_up_wins = false;
+};
+
+/**
+ * geneticSearch with 1, 2 and 12 refine sweeps returns the GaResult of
+ * its unrefined search with the serial sweeps applied, bit for bit.
+ */
+void
+expectSerialRefinement(const StageEvaluator &evaluator,
+                       const std::vector<Stage> &stages, GaOptions options,
+                       Coverage &coverage)
+{
+    options.refine_sweeps = 0;
+    GaResult unrefined = geneticSearch(evaluator, stages, options);
+    double per_lb = 1e-6 / unrefined.baseline_eval.seconds
+        * (1.0 - options.perf_loss_target);
+    for (int sweeps : {1, 2, 12}) {
+        SerialRefinement serial =
+            serialRefine(evaluator, unrefined, per_lb, sweeps);
+        coverage.adjacent |= serial.adjacent;
+        coverage.stale_up_wins |= serial.stale_up_wins;
+        GaResult expected = unrefined;
+        expected.best_genome = serial.genome;
+        expected.best_score = serial.score;
+        expected.best_eval = serial.eval;
+        expected.best_mhz.clear();
+        for (std::uint8_t gene : serial.genome)
+            expected.best_mhz.push_back(evaluator.frequenciesMhz()[gene]);
+        options.refine_sweeps = sweeps;
+        EXPECT_TRUE(
+            sameResult(geneticSearch(evaluator, stages, options), expected))
+            << sweeps << " sweeps";
+    }
+}
+
+TEST(GaRefinement, BatchedSweepsAreTheSerialSweeps)
+{
+    Coverage coverage;
+    // Stage counts within one checkpoint block and across several; a
+    // short GA leaves the refinement plenty to accept.
+    for (int stage_count : {9, 70, 150}) {
+        TinyFixture fixture(stage_count);
+        for (double target : {0.02, 0.05}) {
+            for (std::uint64_t seed : {1u, 2u, 3u}) {
+                SCOPED_TRACE(std::to_string(stage_count) + " stages, target "
+                             + std::to_string(target) + ", seed "
+                             + std::to_string(seed));
+                GaOptions options = routingGa(8, 3);
+                options.perf_loss_target = target;
+                options.seed = seed;
+                expectSerialRefinement(*fixture.evaluator, fixture.stages,
+                                       options, coverage);
+            }
+        }
+    }
+    EXPECT_TRUE(coverage.adjacent);
+
+    // The bump stage starts at 1400 MHz: one generation of three, the
+    // prior beating the baseline and the 1600/1800 prior.
+    BumpFixture bump;
+    GaOptions options = routingGa(3, 1);
+    options.perf_loss_target = 0.15;
+    options.prior_individuals = {{1000.0, 1400.0}};
+    options.refine_sweeps = 0;
+    ASSERT_EQ(geneticSearch(*bump.evaluator, bump.stages, options).best_mhz,
+              options.prior_individuals.front());
+    expectSerialRefinement(*bump.evaluator, bump.stages, options, coverage);
+    EXPECT_TRUE(coverage.stale_up_wins);
+}
+
 } // namespace
 } // namespace opdvfs::dvfs

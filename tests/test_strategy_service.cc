@@ -559,7 +559,12 @@ TEST(StrategyService, ShedsLikelyColdWorkUnderSustainedQueueing)
     // Shrink the sojourn target so one real queue wait is enough to
     // trip the shedder deterministically: a single wait of one cold
     // duration D raises the EWMA to ~0.2*D, so the target must sit
-    // well below that relative to the cold EWMA (~D).
+    // well below that relative to the cold EWMA (~D).  The wait below
+    // reads B's pickup as an EWMA above 5 ms, so D must sit well above
+    // 25 ms: a 4 s warm-up puts it near 50 ms on a 4-core host, where
+    // the shared 2 s one (D near 25 ms) let C start first in about
+    // half the runs.
+    options.pipeline.warmup_seconds = 4.0;
     options.min_shed_sojourn_seconds = 0.001;
     options.assumed_cold_seconds = 0.001;
     options.shed_sojourn_factor = 0.05;
